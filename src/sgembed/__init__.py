@@ -19,13 +19,11 @@ from .sgraph import (
 from .treewalk import (
     BfsTree,
     RelevanceTable,
-    Walk,
+    WalkBatch,
     build_bfs_tree,
     modified_softmax,
     propagate,
-    relevance,
     relevance_table,
-    sample_signed_neighbor,
     sample_walk,
     touched_nodes,
     tree_distribution,
@@ -33,7 +31,6 @@ from .treewalk import (
 from .generator import (
     DivergenceError,
     EmbeddingMatrix,
-    FakeSample,
     generate_fakes,
     init_embeddings,
     policy_gradient_update,

@@ -349,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--leakage", choices=("strict", "fast"), default="strict")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes for strict-leakage folds (1: none)",
+    )
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=_cmd_predict)
 
@@ -365,7 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--leakage", choices=("strict", "fast"), default="strict")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes for sweep cells (1: none)",
+    )
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -26,7 +26,7 @@ from .trainer import TrainConfig, train
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class EdgeFeatureMode(enum.Enum):
@@ -104,15 +104,12 @@ def logreg_train(
     labels: np.ndarray,
     iterations: int = 500,
     learning_rate: float = 0.1,
-    seed: int = 0,
 ) -> LogisticModel:
     """Batch gradient descent on mean log-loss from zero init.
 
-    ``labels`` are 0/1 with 1 the positive sign. Deterministic; ``seed``
-    is accepted for interface stability but unused (nothing is sampled).
-    Raises ValueError when only one class is present.
+    ``labels`` are 0/1 with 1 the positive sign. Deterministic (nothing is
+    sampled). Raises ValueError when only one class is present.
     """
-    del seed
     labels = np.asarray(labels, dtype=float)
     if labels.min() == labels.max():
         raise ValueError("training data must contain both classes")
@@ -336,8 +333,9 @@ def kfold_link_prediction(
 
     leakage_mode "strict" retrains embeddings per fold on the graph minus
     the held-out edges; "fast" trains once on the full graph. A
-    pre-trained ``embeddings`` table skips training entirely (leakage is
-    then whatever produced the table). Fold shuffling and per-fold
+    pre-trained ``embeddings`` table skips training entirely; leakage is
+    then whatever produced the table, and the report's leakage_mode reads
+    "precomputed". Fold shuffling and per-fold
     training seeds all derive from train_cfg.seed. Strict-mode folds are
     independent pipelines, so ``threads`` > 1 runs them in parallel with
     results identical to the sequential order.
@@ -399,7 +397,9 @@ def kfold_link_prediction(
         else:
             results = [_strict_fold_job(job) for job in jobs]
     return MetricsReport(
-        feature_mode=feature_mode, leakage_mode=leakage_mode, folds=results
+        feature_mode=feature_mode,
+        leakage_mode="precomputed" if embeddings is not None else leakage_mode,
+        folds=results,
     )
 
 

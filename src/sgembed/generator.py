@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .sgraph import Sign, SignedGraph
+from .sgraph import SignedGraph
 from .treewalk import (
     BfsTree,
+    WalkBatch,
     build_bfs_tree,
     relevance_table,
     sample_walk,
@@ -108,24 +109,6 @@ def init_embeddings(node_count: int, dim: int, seed) -> EmbeddingMatrix:
     return EmbeddingMatrix(values=values, seed=entropy)
 
 
-@dataclass
-class FakeSample:
-    """One generated signed edge with its walk, for gradient attribution."""
-
-    center: int
-    neighbor: int
-    sign: Sign
-    walk_nodes: list[int]
-    step_signs: list[int]
-    tree: BfsTree = field(repr=False)
-    reward: float = 0.0
-
-    def steps(self):
-        for i in range(len(self.walk_nodes) - 1):
-            yield self.walk_nodes[i], self.walk_nodes[i + 1], self.step_signs[i]
-        yield self.walk_nodes[-1], self.walk_nodes[-2], self.step_signs[-1]
-
-
 def generate_fakes(
     g: SignedGraph,
     emb: EmbeddingMatrix,
@@ -134,11 +117,11 @@ def generate_fakes(
     rng: np.random.Generator,
     max_depth: int | None = None,
     tree: BfsTree | None = None,
-) -> list[FakeSample]:
-    """Draw ``count`` fake signed neighbors of ``center``.
+) -> WalkBatch | None:
+    """Draw ``count`` fake signed neighbors of ``center`` as one batch.
 
-    Builds the BFS tree and relevance table once and samples walks from
-    them. An isolated center yields an empty list with a logged warning.
+    Builds the BFS tree and relevance table once and samples every walk
+    from them. An isolated center yields None with a logged warning.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -146,22 +129,8 @@ def generate_fakes(
         tree = build_bfs_tree(g, center, max_depth)
     if tree.covered_count < 2:
         logger.warning("center %d is isolated; no fakes generated", center)
-        return []
-    table = relevance_table(emb, tree)
-    samples = []
-    for _ in range(count):
-        walk = sample_walk(table, tree, rng)
-        samples.append(
-            FakeSample(
-                center=center,
-                neighbor=walk.emitted_node,
-                sign=walk.composed_sign,
-                walk_nodes=walk.nodes,
-                step_signs=walk.step_signs,
-                tree=tree,
-            )
-        )
-    return samples
+        return None
+    return sample_walk(relevance_table(emb, tree), tree, rng, count)
 
 
 @dataclass
@@ -171,77 +140,67 @@ class GeneratorUpdateReport:
     nodes_touched: int
 
 
-def _node_distribution(values: np.ndarray, tree: BfsTree, node: int, cache: dict):
-    """Tree-neighborhood arrays (nbrs, p_pos, p_neg) for one node."""
-    key = (id(tree), node)
-    entry = cache.get(key)
-    if entry is not None:
-        return entry
-    nbrs = np.asarray(tree.tree_neighbors(node), dtype=np.int64)
-    dots = values[nbrs] @ values[node]
-    shift = float(np.abs(dots).max(initial=0.0))
-    ep = np.exp(dots - shift)
-    en = np.exp(-dots - shift)
-    denom = ep.sum() + en.sum()
-    entry = (nbrs, ep / denom, en / denom)
-    cache[key] = entry
-    return entry
-
-
 def walk_logprob_gradient(
     emb: EmbeddingMatrix,
-    sample: FakeSample,
+    batch: WalkBatch,
+    rewards: np.ndarray,
     out: np.ndarray,
-    scale: float,
-    cache: dict | None = None,
 ) -> None:
-    """Accumulate scale * d log P(walk) / d theta into ``out``.
+    """Accumulate sum_i rewards[i] * d log P(walk i) / d theta into ``out``.
 
-    The walk's log-probability is the sum of per-step softmax
-    log-probabilities; each step at node a toward (b, t) contributes
+    A walk's log-probability is the sum of per-hop softmax
+    log-probabilities; each hop at node a toward (b, t) contributes
         d/d g_a = t*g_b - sum_j q_j g_j,   q_j = p_pos_j - p_neg_j
         d/d g_b += t*g_a
-        d/d g_j -= q_j * g_a   for every tree neighbor j of a.
-
-    ``cache`` may be shared across samples drawn from the same frozen
-    embeddings to avoid recomputing per-node distributions.
+        d/d g_j -= q_j * g_a   for every tree neighbor j of a,
+    with the step probabilities read from the batch's table, which must
+    have been built from ``emb``. Every term pairs two nodes, so hop terms
+    and neighbor terms (weighted by the reward leaving each node) go into
+    ``out`` in one symmetric scatter.
     """
     values = emb.values
-    if cache is None:
-        cache = {}
-    for a, b, t in sample.steps():
-        nbrs, p_pos, p_neg = _node_distribution(values, sample.tree, a, cache)
-        q = p_pos - p_neg
-        g_a = values[a]
-        out[a] += scale * (t * values[b] - q @ values[nbrs])
-        np.add.at(out, nbrs, (-scale) * q[:, None] * g_a)
-        out[b] += scale * t * g_a
+    src, dst = batch.tree.directed_edges()
+    pos, neg = batch.table.directed()
+    weight = np.repeat(rewards, np.diff(batch.hop_ptr))
+    hop_src = src[batch.hops]
+    leaving = np.bincount(hop_src, weights=weight, minlength=len(values))
+    nbr = np.flatnonzero(leaving[src])
+    x = np.concatenate([hop_src, src[nbr]])
+    y = np.concatenate([dst[batch.hops], dst[nbr]])
+    coef = np.concatenate(
+        [weight * batch.step_signs, -leaving[src[nbr]] * (pos[nbr] - neg[nbr])]
+    )[:, None]
+    np.add.at(out, x, coef * values[y])
+    np.add.at(out, y, coef * values[x])
 
 
 def policy_gradient_update(
-    emb: EmbeddingMatrix, samples: list[FakeSample], learning_rate: float
+    emb: EmbeddingMatrix,
+    batch: WalkBatch | None,
+    rewards: np.ndarray,
+    learning_rate: float,
 ) -> GeneratorUpdateReport:
-    """One REINFORCE descent step over a batch of rewarded samples.
+    """One REINFORCE descent step over a batch of rewarded walks.
 
-    Descends the mean of reward * grad log P(walk); rewards must be finite
-    (the trainer fills them with clamped log(1 - D)).
+    Descends the mean of reward * grad log P(walk); ``rewards`` holds one
+    finite value per walk (the trainer's clamped log(1 - D)).
     """
-    if not samples:
+    if not batch:
         return GeneratorUpdateReport(0.0, 0, 0)
+    rewards = np.asarray(rewards, dtype=float)
+    bad = ~np.isfinite(rewards)
+    if bad.any():
+        node = int(batch.targets[bad][0])
+        raise ValueError(f"non-finite reward on sample for node {node}")
     grad = np.zeros_like(emb.values)
-    touched: set[int] = set()
-    cache: dict = {}
-    for s in samples:
-        if not np.isfinite(s.reward):
-            raise ValueError(f"non-finite reward on sample for node {s.neighbor}")
-        walk_logprob_gradient(emb, s, grad, s.reward, cache)
-        touched |= touched_nodes(s.tree, s.walk_nodes)
-    grad /= len(samples)
+    walk_logprob_gradient(emb, batch, rewards, grad)
+    grad /= len(batch)
     emb.values -= learning_rate * grad
     if not np.isfinite(emb.values).all():
         raise DivergenceError("generator update left non-finite embeddings")
+    src, _ = batch.tree.directed_edges()
     return GeneratorUpdateReport(
         gradient_norm=float(np.linalg.norm(grad)),
-        samples_used=len(samples),
-        nodes_touched=len(touched),
+        samples_used=len(batch),
+        nodes_touched=len(touched_nodes(batch.tree, src[batch.hops])),
     )

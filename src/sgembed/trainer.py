@@ -197,12 +197,10 @@ def _snapshot(cfg, epochs_done, theta_j, theta_d, stream) -> TrainState:
     )
 
 
-def _rewards(theta_d, samples, clamp):
-    """Clamped log(1 - D(neighbor, center, sign)) per sample."""
-    us = np.asarray([s.neighbor for s in samples], dtype=np.int64)
-    vs = np.asarray([s.center for s in samples], dtype=np.int64)
-    signs = np.asarray([s.sign.value for s in samples], dtype=float)
-    z = signs * np.einsum("ij,ij->i", theta_d.values[us], theta_d.values[vs])
+def _rewards(theta_d, fakes, clamp):
+    """Clamped log(1 - D(target, center, sign)) per walk."""
+    center = theta_d.values[fakes.tree.root]
+    z = fakes.signs * (theta_d.values[fakes.targets] @ center)
     return np.clip(-np.logaddexp(0.0, z), clamp[0], clamp[1])
 
 
@@ -279,9 +277,11 @@ def train(
                     )
                     fake_batch = [
                         discriminator.LabeledEdge(
-                            center, s.neighbor, s.sign, discriminator.Origin.FAKE
+                            center, v, Sign(s), discriminator.Origin.FAKE
                         )
-                        for s in fakes
+                        for v, s in zip(
+                            fakes.targets.tolist(), fakes.signs.tolist()
+                        )
                     ]
                     n_true += len(true_batch)
                     n_fake += len(fake_batch)
@@ -316,10 +316,8 @@ def train(
                     if not fakes:
                         continue
                     rewards = _rewards(theta_d, fakes, cfg.reward_clamp)
-                    for s, r in zip(fakes, rewards):
-                        s.reward = float(r)
                     rep = generator.policy_gradient_update(
-                        theta_j, fakes, cfg.learning_rate
+                        theta_j, fakes, rewards, cfg.learning_rate
                     )
                     g_rewards.append(float(rewards.mean()))
                     g_norms.append(rep.gradient_norm)
@@ -414,7 +412,7 @@ def resume(path: str | Path) -> TrainState:
         epochs_done=header["epochs_done"],
         theta_j=EmbeddingMatrix(values=theta_j),
         theta_d=EmbeddingMatrix(values=theta_d),
-        rng_state=_rng_from_jsonable(header["rng_state"]),
+        rng_state=header["rng_state"],
     )
 
 
@@ -424,7 +422,3 @@ def _jsonable_rng(state: dict) -> dict:
     if isinstance(inner, dict):
         out["state"] = {k: int(v) for k, v in inner.items()}
     return out
-
-
-def _rng_from_jsonable(state: dict) -> dict:
-    return copy.deepcopy(state)

@@ -15,21 +15,20 @@ A signed random walk samples from the same distribution: it descends the
 tree one relevance-weighted hop at a time and stops the first time it
 steps back to the node it just came from, emitting the node it stepped
 back from together with the balance-composed product of every drawn step
-sign, including the final back-step.
+sign, including the final back-step. Since such a walk only descends and
+then steps back once, its node path is the root-to-target tree path, and
+walks are drawn in closed form from the same table.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .sgraph import Sign, SignedGraph
-
-# exp argument magnitudes above this are shifted before exponentiation
-_SHIFT_GUARD = 700.0
 
 
 @dataclass
@@ -38,9 +37,7 @@ class BfsTree:
 
     Tree edges are indexed 0..T-1 in discovery order; edge e joins
     child_nodes[e] to parent_nodes[e]. ``order`` lists covered nodes in BFS
-    discovery order (order[0] == root). The CSR triple (inc_ptr, inc_edges,
-    inc_down) gives, for each node, its incident tree edges and whether the
-    node is the parent end of each.
+    discovery order (order[0] == root).
     """
 
     root: int
@@ -50,9 +47,6 @@ class BfsTree:
     child_nodes: np.ndarray
     parent_nodes: np.ndarray
     edge_of_child: np.ndarray
-    inc_ptr: np.ndarray
-    inc_edges: np.ndarray
-    inc_down: np.ndarray
 
     @cached_property
     def covered(self) -> frozenset[int]:
@@ -66,26 +60,27 @@ class BfsTree:
     def depth(self) -> int:
         return int(self.level[self.order].max())
 
-    def is_covered(self, node: int) -> bool:
-        return self.level[node] >= 0
-
     def parent_of(self, node: int) -> int | None:
         p = int(self.parent[node])
         return None if p < 0 else p
 
     def children_of(self, node: int) -> list[int]:
-        lo, hi = self.inc_ptr[node], self.inc_ptr[node + 1]
-        edges = self.inc_edges[lo:hi]
-        down = self.inc_down[lo:hi]
-        return self.child_nodes[edges[down]].tolist()
+        return self.child_nodes[self.parent_nodes == node].tolist()
 
     def tree_neighbors(self, node: int) -> list[int]:
-        lo, hi = self.inc_ptr[node], self.inc_ptr[node + 1]
-        edges = self.inc_edges[lo:hi]
-        down = self.inc_down[lo:hi]
-        return np.where(
-            down, self.child_nodes[edges], self.parent_nodes[edges]
-        ).tolist()
+        parent = self.parent_of(node)
+        return self.children_of(node) + ([] if parent is None else [parent])
+
+    def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(source, destination) of every directed tree edge.
+
+        Id e < T steps down tree edge e (parent -> child); id T + e steps
+        back up it (child -> parent).
+        """
+        return (
+            np.concatenate([self.parent_nodes, self.child_nodes]),
+            np.concatenate([self.child_nodes, self.parent_nodes]),
+        )
 
 
 def build_bfs_tree(
@@ -117,35 +112,16 @@ def build_bfs_tree(
 
     order_arr = np.asarray(order, dtype=np.int64)
     child_nodes = order_arr[1:].copy()
-    parent_nodes = parent[child_nodes]
-    t = len(child_nodes)
     edge_of_child = np.full(n, -1, dtype=np.int64)
-    edge_of_child[child_nodes] = np.arange(t)
-
-    # incidence CSR over covered nodes; each edge appears at both ends
-    nodes_cat = np.concatenate([parent_nodes, child_nodes])
-    edges_cat = np.concatenate([np.arange(t), np.arange(t)])
-    down_cat = np.concatenate(
-        [np.ones(t, dtype=bool), np.zeros(t, dtype=bool)]
-    )
-    perm = np.argsort(nodes_cat, kind="stable")
-    inc_edges = edges_cat[perm]
-    inc_down = down_cat[perm]
-    inc_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(inc_ptr, nodes_cat + 1, 1)
-    inc_ptr = np.cumsum(inc_ptr)
-
+    edge_of_child[child_nodes] = np.arange(len(child_nodes))
     return BfsTree(
         root=root,
         parent=parent,
         level=level,
         order=order_arr,
         child_nodes=child_nodes,
-        parent_nodes=parent_nodes,
+        parent_nodes=parent[child_nodes],
         edge_of_child=edge_of_child,
-        inc_ptr=inc_ptr,
-        inc_edges=inc_edges,
-        inc_down=inc_down,
     )
 
 
@@ -166,10 +142,13 @@ class RelevanceTable:
     up_neg: np.ndarray
     cum_pos: np.ndarray
     cum_neg: np.ndarray
-    _node_cache: dict = field(default_factory=dict, repr=False)
 
     def step(self, tree: BfsTree, a: int, b: int, sign: Sign) -> float:
-        """Single-hop relevance of neighbor b from node a for ``sign``."""
+        """Single-hop relevance of neighbor b from node a for ``sign``.
+
+        The values over all (tree neighbor, sign) pairs of a sum to 1.
+        Raises ValueError when b is not tree-adjacent to a.
+        """
         e = int(tree.edge_of_child[b])
         if e >= 0 and tree.parent_nodes[e] == a:
             pos, neg = self.down_pos[e], self.down_neg[e]
@@ -180,8 +159,13 @@ class RelevanceTable:
             pos, neg = self.up_pos[e], self.up_neg[e]
         return float(pos if sign is Sign.POSITIVE else neg)
 
-    def cumulative(self, node: int) -> tuple[float, float]:
-        return float(self.cum_pos[node]), float(self.cum_neg[node])
+    def directed(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p_pos, p_neg) per directed tree edge id, see
+        ``BfsTree.directed_edges``."""
+        return (
+            np.concatenate([self.down_pos, self.up_pos]),
+            np.concatenate([self.down_neg, self.up_neg]),
+        )
 
 
 def _step_arrays(emb_values: np.ndarray, tree: BfsTree):
@@ -248,28 +232,7 @@ def propagate(table: RelevanceTable, tree: BfsTree) -> RelevanceTable:
         dp, dn = table.down_pos[sel], table.down_neg[sel]
         table.cum_pos[c] = table.cum_pos[p] * dp + table.cum_neg[p] * dn
         table.cum_neg[c] = table.cum_pos[p] * dn + table.cum_neg[p] * dp
-    table._node_cache.clear()
     return table
-
-
-def relevance(emb, tree: BfsTree, a: int, b: int, sign: Sign) -> float:
-    """Sign-specific relevance of tree-neighbor b from node a.
-
-    Softmax over a's tree neighborhood and both signs, with exponent
-    sign * (g_a . g_b); the values over all (neighbor, sign) pairs of a
-    sum to 1. Raises ValueError when b is not tree-adjacent to a.
-    """
-    nbrs = tree.tree_neighbors(a)
-    if b not in nbrs:
-        raise ValueError(f"{b} is not a tree neighbor of {a}")
-    nbrs_arr = np.asarray(nbrs, dtype=np.int64)
-    dots = emb.values[nbrs_arr] @ emb.values[a]
-    shift = max(float(np.abs(dots).max()), 0.0)
-    if shift < _SHIFT_GUARD:
-        shift = 0.0
-    denom = float(np.exp(dots - shift).sum() + np.exp(-dots - shift).sum())
-    d_ab = float(emb.values[a] @ emb.values[b])
-    return float(np.exp(sign.value * d_ab - shift) / denom)
 
 
 def modified_softmax(
@@ -305,98 +268,84 @@ def tree_distribution(table: RelevanceTable, tree: BfsTree):
     return c, cp * up + cn * un, cp * un + cn * up
 
 
-def _node_step(table: RelevanceTable, tree: BfsTree, node: int):
-    """Cached per-node sampling arrays: neighbors and cumulative probs.
-
-    Layout: entries 0..t-1 are (neighbor_j, Positive), t..2t-1 are
-    (neighbor_j, Negative).
-    """
-    cached = table._node_cache.get(node)
-    if cached is not None:
-        return cached
-    lo, hi = tree.inc_ptr[node], tree.inc_ptr[node + 1]
-    edges = tree.inc_edges[lo:hi]
-    down = tree.inc_down[lo:hi]
-    nbrs = np.where(down, tree.child_nodes[edges], tree.parent_nodes[edges])
-    p_pos = np.where(down, table.down_pos[edges], table.up_pos[edges])
-    p_neg = np.where(down, table.down_neg[edges], table.up_neg[edges])
-    cum = np.cumsum(np.concatenate([p_pos, p_neg]))
-    entry = (nbrs, cum)
-    table._node_cache[node] = entry
-    return entry
-
-
 @dataclass
-class Walk:
-    """One signed tree walk: the visited nodes and every drawn step sign.
+class WalkBatch:
+    """Signed walks from one tree root, drawn from one relevance table.
 
-    ``nodes`` is the descent path from the root; ``step_signs`` has one
-    entry per drawn step, the last being the terminating back-step from
-    nodes[-1] toward nodes[-2]. The emitted sample is nodes[-1] with the
-    balance-composed product of all step signs.
+    Walk i emits ``targets[i]`` with balance-composed sign ``signs[i]``
+    and owns the hops hop_ptr[i]:hop_ptr[i+1] of the flat hop arrays:
+    ``hops`` holds directed tree edge ids (see ``BfsTree.directed_edges``)
+    and ``step_signs`` the drawn sign of each hop. A walk's hops run from
+    the root down to its target, then the terminating back-step.
     """
 
-    nodes: list[int]
-    step_signs: list[int]
+    tree: BfsTree
+    table: RelevanceTable
+    targets: np.ndarray
+    signs: np.ndarray
+    hops: np.ndarray
+    step_signs: np.ndarray
+    hop_ptr: np.ndarray
 
-    @property
-    def emitted_node(self) -> int:
-        return self.nodes[-1]
-
-    @property
-    def composed_sign(self) -> Sign:
-        return Sign(int(np.prod(self.step_signs)))
-
-    def steps(self):
-        """Yield (source, destination, sign_int) per drawn step."""
-        for i in range(len(self.nodes) - 1):
-            yield self.nodes[i], self.nodes[i + 1], self.step_signs[i]
-        yield self.nodes[-1], self.nodes[-2], self.step_signs[-1]
+    def __len__(self) -> int:
+        return len(self.targets)
 
 
 def sample_walk(
-    table: RelevanceTable, tree: BfsTree, rng: np.random.Generator
-) -> Walk:
-    """Draw one signed walk; requires a tree covering at least two nodes."""
+    table: RelevanceTable, tree: BfsTree, rng: np.random.Generator, count: int
+) -> WalkBatch:
+    """Draw ``count`` signed walks; requires a tree covering two nodes.
+
+    A walk's probability is the product of its hops' step probabilities,
+    which factors into its node path (the target's tree-softmax mass over
+    both signs) times an independent sign draw per hop. Targets come from
+    one inverse-CDF search over that mass, hop signs from one uniform draw
+    per hop.
+    """
     if tree.covered_count < 2:
         raise ValueError("tree must cover at least two nodes")
-    cur = tree.root
-    prev = -1
-    nodes = [cur]
-    signs: list[int] = []
-    while True:
-        nbrs, cum = _node_step(table, tree, cur)
-        t = len(nbrs)
-        if not np.isfinite(cum[-1]):
-            raise FloatingPointError(
-                f"non-finite step probabilities at node {cur}"
-            )
-        r = rng.random() * cum[-1]
-        idx = int(np.searchsorted(cum, r, side="right"))
-        if idx >= 2 * t:
-            idx = 2 * t - 1
-        nxt = int(nbrs[idx % t])
-        signs.append(1 if idx < t else -1)
-        if nxt == prev:
-            return Walk(nodes=nodes, step_signs=signs)
-        nodes.append(nxt)
-        prev, cur = cur, nxt
+    _, p_pos, p_neg = tree_distribution(table, tree)
+    cum = np.cumsum(p_pos + p_neg)
+    edge = np.searchsorted(cum, rng.random(count) * cum[-1], side="right")
+    edge = np.minimum(edge, len(cum) - 1)
+    targets = tree.child_nodes[edge]
+    hop_ptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(tree.level[targets] + 1, out=hop_ptr[1:])
+    hops = np.empty(hop_ptr[-1], dtype=np.int64)
+    back = hop_ptr[1:] - 1
+    hops[back] = edge + len(cum)
+    # fill each path bottom-up, one tree level per pass
+    cur, at = edge, back - 1
+    while len(cur):
+        hops[at] = cur
+        cur = tree.edge_of_child[tree.parent_nodes[cur]]
+        keep = cur >= 0
+        cur, at = cur[keep], at[keep] - 1
+    pos, neg = table.directed()
+    pos, neg = pos[hops], neg[hops]
+    if not np.isfinite(cum[-1] + pos.sum() + neg.sum()):
+        raise FloatingPointError(
+            f"non-finite step probabilities in the tree of {tree.root}"
+        )
+    step_signs = np.where(rng.random(len(hops)) * (pos + neg) < pos, 1, -1)
+    step_signs = step_signs.astype(np.int8)
+    return WalkBatch(
+        tree=tree,
+        table=table,
+        targets=targets,
+        signs=np.multiply.reduceat(step_signs, hop_ptr[:-1]),
+        hops=hops,
+        step_signs=step_signs,
+        hop_ptr=hop_ptr,
+    )
 
 
-def sample_signed_neighbor(
-    table: RelevanceTable, tree: BfsTree, rng: np.random.Generator
-) -> tuple[int, Sign]:
-    """Sample one (node, sign) outcome from the tree softmax."""
-    walk = sample_walk(table, tree, rng)
-    return walk.emitted_node, walk.composed_sign
+def touched_nodes(tree: BfsTree, nodes) -> np.ndarray:
+    """Sorted nodes whose embeddings a gradient from ``nodes`` touches.
 
-
-def touched_nodes(tree: BfsTree, walk_nodes: list[int]) -> set[int]:
-    """Nodes whose embeddings one walk's gradient touches.
-
-    The walk's own nodes plus every tree neighbor of a visited node.
+    The nodes themselves plus every tree neighbor of one of them.
     """
-    touched = set(walk_nodes)
-    for v in walk_nodes:
-        touched.update(tree.tree_neighbors(v))
-    return touched
+    src, dst = tree.directed_edges()
+    visited = np.zeros(len(tree.level), dtype=bool)
+    visited[nodes] = True
+    return np.unique(np.concatenate([np.asarray(nodes), dst[visited[src]]]))

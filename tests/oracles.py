@@ -7,10 +7,13 @@ a real cross-check and not a tautology.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
-from sgembed import Sign
+import numpy as np
+
+from sgembed import Sign, WalkBatch
 
 
 def step_distribution(values, tree, node):
@@ -99,6 +102,54 @@ def walk_probability(values, tree, path, signs):
     for (a, b), s in zip(hops, signs):
         prob *= step_distribution(values, tree, a)[(b, s)]
     return prob
+
+
+def walk_hops(tree, path):
+    """Directed tree edge ids of the walk along ``path``: one per descent,
+    then the back-step (ids as in ``BfsTree.directed_edges``)."""
+    edges = [int(tree.edge_of_child[v]) for v in path[1:]]
+    return edges + [edges[-1] + len(tree.child_nodes)]
+
+
+def walk_batch(tree, table, walks):
+    """One WalkBatch holding the given (path, signs) walks, in order."""
+    hops, step_signs, hop_ptr = [], [], [0]
+    for path, signs in walks:
+        hops += walk_hops(tree, path)
+        step_signs += list(signs)
+        hop_ptr.append(len(hops))
+    return WalkBatch(
+        tree=tree,
+        table=table,
+        targets=np.array([path[-1] for path, _ in walks], dtype=np.int64),
+        signs=np.array([math.prod(s) for _, s in walks], dtype=np.int8),
+        hops=np.array(hops, dtype=np.int64),
+        step_signs=np.array(step_signs, dtype=np.int8),
+        hop_ptr=np.array(hop_ptr, dtype=np.int64),
+    )
+
+
+def batch_walks(batch):
+    """Each walk of ``batch`` as a (hop id tuple, sign tuple) pair."""
+    hops, signs = batch.hops.tolist(), batch.step_signs.tolist()
+    ptr = batch.hop_ptr.tolist()
+    return [
+        (tuple(hops[a:b]), tuple(signs[a:b])) for a, b in zip(ptr, ptr[1:])
+    ]
+
+
+def single_walk_batches(batch):
+    """Yield each walk of ``batch`` as a batch of its own."""
+    ptr = batch.hop_ptr.tolist()
+    for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
+        yield dataclasses.replace(
+            batch,
+            targets=batch.targets[i : i + 1],
+            signs=batch.signs[i : i + 1],
+            hops=batch.hops[a:b],
+            step_signs=batch.step_signs[a:b],
+            hop_ptr=np.array([0, b - a]),
+        )
 
 
 def expected_reward(values, tree, reward_fn):

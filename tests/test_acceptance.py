@@ -43,13 +43,15 @@ from sgembed import (
     tree_distribution,
 )
 from sgembed.discriminator import batch_gradient, objective
-from sgembed.generator import FakeSample, walk_logprob_gradient
+from sgembed.generator import walk_logprob_gradient
 from oracles import (
     enumerate_walks,
     expected_reward,
     hand_paper_micro_f1,
     hand_standard_micro_f1,
     naive_modified_softmax,
+    single_walk_batches,
+    walk_batch,
     walk_probability,
 )
 
@@ -171,10 +173,10 @@ def test_criterion_4_sampler_fidelity():
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
         rng = np.random.default_rng(99)
+        batch = sample_walk(table, tree, rng, draws)
         counts: dict = {}
-        for _ in range(draws):
-            walk = sample_walk(table, tree, rng)
-            key = (walk.emitted_node, walk.composed_sign)
+        for v, sign in zip(batch.targets.tolist(), batch.signs.tolist()):
+            key = (v, Sign(sign))
             counts[key] = counts.get(key, 0) + 1
         for v in tree.order.tolist():
             if v == tree.root:
@@ -224,19 +226,17 @@ def test_criterion_5_gradient_correctness():
     }
     reward_fn = lambda v, s: rewards[(v, s)]
 
+    table = relevance_table(gen_emb, tree)
+    walks = enumerate_walks(tree)
+    weights = np.array([
+        walk_probability(gen_emb.values, tree, path, signs)
+        * reward_fn(path[-1], math.prod(signs))
+        for path, signs in walks
+    ])
     exact = np.zeros_like(gen_emb.values)
-    for path, signs in enumerate_walks(tree):
-        prob = walk_probability(gen_emb.values, tree, path, signs)
-        parity = 1
-        for s in signs:
-            parity *= s
-        sample = FakeSample(
-            center=path[0], neighbor=path[-1], sign=Sign(parity),
-            walk_nodes=list(path), step_signs=list(signs), tree=tree,
-        )
-        walk_logprob_gradient(
-            gen_emb, sample, exact, prob * reward_fn(path[-1], parity)
-        )
+    walk_logprob_gradient(
+        gen_emb, walk_batch(tree, table, walks), weights, exact
+    )
 
     h = 1e-5
     fd_gen = np.zeros_like(exact)
@@ -252,27 +252,20 @@ def test_criterion_5_gradient_correctness():
             ) / (2 * h)
     gen_rel = float(np.abs(exact - fd_gen).max() / np.abs(fd_gen).max())
 
-    # REINFORCE Monte Carlo mean vs the exact gradient, 10^6 samples
-    table = relevance_table(gen_emb, tree)
+    # REINFORCE Monte Carlo mean vs the exact gradient, 10^6 samples, each
+    # sample's gradient taken on its own
     rng = np.random.default_rng(13)
     n_draws = 1_000_000
+    batch = sample_walk(table, tree, rng, n_draws)
+    draw_rewards = np.array([
+        rewards[key]
+        for key in zip(batch.targets.tolist(), batch.signs.tolist())
+    ])
     total = np.zeros_like(exact)
     total_sq = np.zeros_like(exact)
-    cache: dict = {}
-    for _ in range(n_draws):
-        walk = sample_walk(table, tree, rng)
-        parity = 1
-        for s in walk.step_signs:
-            parity *= s
-        sample = FakeSample(
-            center=walk.nodes[0], neighbor=walk.emitted_node,
-            sign=Sign(parity), walk_nodes=walk.nodes,
-            step_signs=walk.step_signs, tree=tree,
-        )
+    for i, walk in enumerate(single_walk_batches(batch)):
         gs = np.zeros_like(exact)
-        walk_logprob_gradient(
-            gen_emb, sample, gs, rewards[(walk.emitted_node, parity)], cache
-        )
+        walk_logprob_gradient(gen_emb, walk, draw_rewards[i : i + 1], gs)
         total += gs
         total_sq += gs * gs
     mean = total / n_draws

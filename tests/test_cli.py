@@ -91,6 +91,9 @@ def test_predict_with_pretrained_embeddings(tmp_path, graph_file):
     payload = json.loads((out / "metrics.json").read_text())
     assert "mean_paper_micro_f1" in payload
     assert len(payload["folds"]) == 3
+    # the table was trained on every edge: no leakage mode applies
+    assert payload["leakage_mode"] == "precomputed"
+    assert payload["schema_version"] == 2
     assert (out / "metrics.csv").exists()
 
 

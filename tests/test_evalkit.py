@@ -290,7 +290,7 @@ class TestKfoldLinkPrediction:
             g, 3, EdgeFeatureMode.AVERAGE, FAST_CFG, "fast"
         )
         payload = json.loads(report.to_json())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["feature_mode"] == "avg"
         assert len(payload["folds"]) == 3
         rows = report.csv_rows()

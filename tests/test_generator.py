@@ -17,6 +17,7 @@ from sgembed import (
     policy_gradient_update,
     random_connected_graph,
     relevance_table,
+    touched_nodes,
 )
 from sgembed.generator import walk_logprob_gradient
 
@@ -24,6 +25,8 @@ from oracles import (
     enumerate_walks,
     expected_reward,
     naive_walk_logprob,
+    root_path,
+    walk_batch,
     walk_probability,
 )
 
@@ -82,23 +85,25 @@ class TestGenerateFakes:
         rng = np.random.default_rng(0)
         fakes = generate_fakes(g, emb, 3, 20, rng)
         assert len(fakes) == 20
-        for s in fakes:
-            assert s.center == 3
-            assert s.neighbor == s.walk_nodes[-1]
-            assert s.walk_nodes[0] == 3
+        assert fakes.tree.root == 3
+        src, dst = fakes.tree.directed_edges()
+        for i, target in enumerate(fakes.targets.tolist()):
+            hops = fakes.hops[fakes.hop_ptr[i] : fakes.hop_ptr[i + 1]]
+            assert src[hops[0]] == 3
+            assert dst[hops[-2]] == target == src[hops[-1]]
 
     def test_two_node_graph_always_other_node(self):
         g = SignedGraph.from_edges(2, [(0, 1, P)])
         emb = init_embeddings(2, 3, 1)
         fakes = generate_fakes(g, emb, 0, 50, np.random.default_rng(1))
-        assert all(s.neighbor == 1 for s in fakes)
+        assert (fakes.targets == 1).all()
 
     def test_isolated_center_warns_and_returns_empty(self, caplog):
         g = SignedGraph.from_edges(3, [(1, 2, P)])
         emb = init_embeddings(3, 2, 0)
         with caplog.at_level("WARNING"):
             fakes = generate_fakes(g, emb, 0, 5, np.random.default_rng(0))
-        assert fakes == []
+        assert fakes is None
         assert "isolated" in caplog.text
 
     def test_frequencies_match_softmax(self):
@@ -108,8 +113,8 @@ class TestGenerateFakes:
         table = relevance_table(emb, tree)
         fakes = generate_fakes(g, emb, 0, 100_000, np.random.default_rng(5))
         counts: dict = {}
-        for s in fakes:
-            counts[(s.neighbor, s.sign)] = counts.get((s.neighbor, s.sign), 0) + 1
+        for v, s in zip(fakes.targets.tolist(), fakes.signs.tolist()):
+            counts[(v, Sign(s))] = counts.get((v, Sign(s)), 0) + 1
         for v in tree.order.tolist():
             if v == 0:
                 continue
@@ -126,21 +131,20 @@ class TestWalkGradient:
         g = random_connected_graph(7, 9, seed)
         emb = init_embeddings(7, 3, seed)
         fakes = generate_fakes(g, emb, 0, 1, np.random.default_rng(seed))
-        sample = fakes[0]
         grad = np.zeros_like(emb.values)
-        walk_logprob_gradient(emb, sample, grad, 1.0)
+        walk_logprob_gradient(emb, fakes, np.ones(1), grad)
 
         h = 1e-6
         fd = np.zeros_like(grad)
-        tree = sample.tree
+        tree = fakes.tree
+        walk_nodes = root_path(tree, int(fakes.targets[0]))
+        step_signs = fakes.step_signs.tolist()
         for i in range(emb.rows):
             for d in range(emb.dim):
                 for delta, slot in ((h, 0), (-h, 1)):
                     shifted = emb.values.copy()
                     shifted[i, d] += delta
-                    lp = naive_walk_logprob(
-                        shifted, tree, sample.walk_nodes, sample.step_signs
-                    )
+                    lp = naive_walk_logprob(shifted, tree, walk_nodes, step_signs)
                     if slot == 0:
                         fd[i, d] = lp
                     else:
@@ -152,26 +156,15 @@ class TestWalkGradient:
 def exact_policy_gradient(emb, tree, reward_fn):
     """Enumerated REINFORCE gradient: sum over walks of
     P(walk) * reward(outcome) * grad log P(walk)."""
+    walks = enumerate_walks(tree)
+    weights = [
+        walk_probability(emb.values, tree, path, signs)
+        * reward_fn(path[-1], math.prod(signs))
+        for path, signs in walks
+    ]
     grad = np.zeros_like(emb.values)
-    for path, signs in enumerate_walks(tree):
-        prob = walk_probability(emb.values, tree, path, signs)
-        if prob == 0.0:
-            continue
-        parity = 1
-        for s in signs:
-            parity *= s
-        reward = reward_fn(path[-1], parity)
-        from sgembed.generator import FakeSample
-
-        sample = FakeSample(
-            center=path[0],
-            neighbor=path[-1],
-            sign=Sign(parity),
-            walk_nodes=list(path),
-            step_signs=list(signs),
-            tree=tree,
-        )
-        walk_logprob_gradient(emb, sample, grad, prob * reward)
+    batch = walk_batch(tree, relevance_table(emb, tree), walks)
+    walk_logprob_gradient(emb, batch, np.array(weights), grad)
     return grad
 
 
@@ -179,7 +172,7 @@ class TestPolicyGradientUpdate:
     def test_empty_sample_list_is_noop(self):
         emb = init_embeddings(4, 3, 0)
         before = emb.values.copy()
-        report = policy_gradient_update(emb, [], 0.1)
+        report = policy_gradient_update(emb, None, np.zeros(0), 0.1)
         assert report.samples_used == 0
         assert np.array_equal(emb.values, before)
 
@@ -187,32 +180,27 @@ class TestPolicyGradientUpdate:
         g = random_connected_graph(6, 8, 1)
         emb = init_embeddings(6, 3, 1)
         fakes = generate_fakes(g, emb, 0, 5, np.random.default_rng(0))
-        for s in fakes:
-            s.reward = -1.0
         before = emb.values.copy()
-        policy_gradient_update(emb, fakes, 0.0)
+        policy_gradient_update(emb, fakes, np.full(5, -1.0), 0.0)
         assert np.array_equal(emb.values, before)
 
     def test_non_finite_reward_rejected(self):
         g = random_connected_graph(5, 6, 2)
         emb = init_embeddings(5, 3, 2)
         fakes = generate_fakes(g, emb, 0, 1, np.random.default_rng(0))
-        fakes[0].reward = float("nan")
         with pytest.raises(ValueError, match="reward"):
-            policy_gradient_update(emb, fakes, 0.1)
+            policy_gradient_update(emb, fakes, np.array([np.nan]), 0.1)
 
     def test_update_touches_only_walk_neighborhoods(self):
         g = random_connected_graph(20, 25, 3)
         emb = init_embeddings(20, 4, 3)
         fakes = generate_fakes(g, emb, 5, 3, np.random.default_rng(1))
         touched = set()
-        from sgembed import touched_nodes
-
-        for s in fakes:
-            s.reward = -2.0
-            touched |= touched_nodes(s.tree, s.walk_nodes)
+        for target in fakes.targets.tolist():
+            walk_nodes = root_path(fakes.tree, target)
+            touched |= set(touched_nodes(fakes.tree, walk_nodes).tolist())
         before = emb.values.copy()
-        report = policy_gradient_update(emb, fakes, 0.5)
+        report = policy_gradient_update(emb, fakes, np.full(3, -2.0), 0.5)
         changed = {
             int(i)
             for i in np.flatnonzero(np.any(emb.values != before, axis=1))
@@ -251,30 +239,19 @@ class TestPolicyGradientUpdate:
         assert np.abs(analytic - fd).max() / denom < 1e-4
 
     @staticmethod
-    def _exact_update_samples(emb, tree, reward_fn):
-        """One FakeSample per enumerable walk, weighted so the batch mean
-        of reward * grad log P equals the exact policy gradient."""
-        from sgembed.generator import FakeSample
-
+    def _exact_update_batch(emb, tree, reward_fn):
+        """Every enumerable walk in one batch, with rewards weighted so the
+        batch mean of reward * grad log P equals the exact policy
+        gradient."""
         walks = enumerate_walks(tree)
-        samples = []
-        for path, signs in walks:
-            prob = walk_probability(emb.values, tree, path, signs)
-            parity = 1
-            for s in signs:
-                parity *= s
-            samples.append(
-                FakeSample(
-                    center=path[0],
-                    neighbor=path[-1],
-                    sign=Sign(parity),
-                    walk_nodes=list(path),
-                    step_signs=list(signs),
-                    tree=tree,
-                    reward=len(walks) * prob * reward_fn(path[-1], parity),
-                )
-            )
-        return samples
+        rewards = [
+            len(walks)
+            * walk_probability(emb.values, tree, path, signs)
+            * reward_fn(path[-1], math.prod(signs))
+            for path, signs in walks
+        ]
+        batch = walk_batch(tree, relevance_table(emb, tree), walks)
+        return batch, np.array(rewards)
 
     def test_strongly_negative_reward_raises_outcome_probability(self):
         # the generator seeks outcomes that fool the discriminator, i.e.
@@ -288,8 +265,8 @@ class TestPolicyGradientUpdate:
         p_before = modified_softmax(table, tree, target, sign)
 
         reward_fn = lambda v, s: -20.0 if (v, Sign(s)) == (target, sign) else 0.0
-        samples = self._exact_update_samples(emb, tree, reward_fn)
-        policy_gradient_update(emb, samples, 0.1)
+        batch, rewards = self._exact_update_batch(emb, tree, reward_fn)
+        policy_gradient_update(emb, batch, rewards, 0.1)
 
         table_after = relevance_table(emb, build_bfs_tree(g, 0))
         p_after = modified_softmax(table_after, tree, target, sign)
@@ -305,8 +282,8 @@ class TestPolicyGradientUpdate:
         p_before = modified_softmax(table, tree, target, sign)
 
         reward_fn = lambda v, s: 0.0 if (v, Sign(s)) == (target, sign) else -20.0
-        samples = self._exact_update_samples(emb, tree, reward_fn)
-        policy_gradient_update(emb, samples, 0.1)
+        batch, rewards = self._exact_update_batch(emb, tree, reward_fn)
+        policy_gradient_update(emb, batch, rewards, 0.1)
 
         table_after = relevance_table(emb, build_bfs_tree(g, 0))
         p_after = modified_softmax(table_after, tree, target, sign)
@@ -316,10 +293,8 @@ class TestPolicyGradientUpdate:
         g = random_connected_graph(5, 6, 0)
         emb = init_embeddings(5, 3, 0)
         fakes = generate_fakes(g, emb, 0, 2, np.random.default_rng(0))
-        for s in fakes:
-            s.reward = -1.0
         emb.values[0, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(
             (DivergenceError, ValueError)
         ):
-            policy_gradient_update(emb, fakes, 0.1)
+            policy_gradient_update(emb, fakes, np.full(2, -1.0), 0.1)

@@ -14,6 +14,7 @@ from sgembed import (
     balance_audit,
     checkpoint,
     random_connected_graph,
+    relevance_table,
     resume,
     score,
     synth_balanced,
@@ -249,6 +250,21 @@ class TestCheckpoint:
         state.theta_j.values[0, 0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged):
             train(g, resume_from=state)
+
+    def test_nan_step_probability_aborts(self, monkeypatch):
+        from sgembed import generator
+
+        def poisoned_table(emb, tree):
+            table = relevance_table(emb, tree)
+            table.down_pos[0] = np.nan
+            return table
+
+        monkeypatch.setattr(generator, "relevance_table", poisoned_table)
+        g = random_connected_graph(6, 8, 1)
+        with pytest.raises(TrainingDiverged) as exc:
+            train(g, SMALL)
+        assert isinstance(exc.value.__cause__, FloatingPointError)
+        assert exc.value.state.epochs_done == 0
 
     def test_divergence_aborts_with_last_good_checkpoint(self, tmp_path):
         g = random_connected_graph(6, 8, 1)

@@ -15,15 +15,21 @@ from sgembed import (
     modified_softmax,
     propagate,
     random_connected_graph,
-    relevance,
     relevance_table,
-    sample_signed_neighbor,
     sample_walk,
     touched_nodes,
     tree_distribution,
 )
 
-from oracles import naive_modified_softmax
+from oracles import (
+    batch_walks,
+    enumerate_walks,
+    naive_modified_softmax,
+    root_path,
+    step_distribution,
+    walk_hops,
+    walk_probability,
+)
 
 P, N = Sign.POSITIVE, Sign.NEGATIVE
 
@@ -106,38 +112,42 @@ class TestRelevance:
         g = path_graph(2)
         emb = embedding_from([[1.0, 0.0], [0.0, 1.0]])
         tree = build_bfs_tree(g, 0)
-        assert relevance(emb, tree, 0, 1, P) == pytest.approx(0.5)
-        assert relevance(emb, tree, 0, 1, N) == pytest.approx(0.5)
+        table = relevance_table(emb, tree)
+        assert table.step(tree, 0, 1, P) == pytest.approx(0.5)
+        assert table.step(tree, 0, 1, N) == pytest.approx(0.5)
 
     def test_single_neighbor_log3_dot(self):
         g = path_graph(2)
         emb = embedding_from([[math.log(3.0)], [1.0]])
         tree = build_bfs_tree(g, 0)
-        assert relevance(emb, tree, 0, 1, P) == pytest.approx(0.9)
-        assert relevance(emb, tree, 0, 1, N) == pytest.approx(0.1)
+        table = relevance_table(emb, tree)
+        assert table.step(tree, 0, 1, P) == pytest.approx(0.9)
+        assert table.step(tree, 0, 1, N) == pytest.approx(0.1)
 
     def test_two_orthogonal_neighbors_quarter_each(self):
         g = SignedGraph.from_edges(3, [(0, 1, P), (0, 2, N)])
         emb = embedding_from([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         tree = build_bfs_tree(g, 0)
+        table = relevance_table(emb, tree)
         for b in (1, 2):
             for s in (P, N):
-                assert relevance(emb, tree, 0, b, s) == pytest.approx(0.25)
+                assert table.step(tree, 0, b, s) == pytest.approx(0.25)
 
     def test_not_tree_adjacent_raises(self):
         tree = build_bfs_tree(path_graph(3), 0)
-        emb = init_embeddings(3, 2, 0)
+        table = relevance_table(init_embeddings(3, 2, 0), tree)
         with pytest.raises(ValueError, match="tree neighbor"):
-            relevance(emb, tree, 0, 2, P)
+            table.step(tree, 0, 2, P)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_per_node_mass_sums_to_one(self, seed):
         g = random_connected_graph(15, 20, seed)
         emb = init_embeddings(15, 5, seed)
         tree = build_bfs_tree(g, 0)
+        table = relevance_table(emb, tree)
         for a in tree.order.tolist():
             total = sum(
-                relevance(emb, tree, a, b, s)
+                table.step(tree, a, b, s)
                 for b in tree.tree_neighbors(a)
                 for s in (P, N)
             )
@@ -149,19 +159,20 @@ class TestRelevance:
         tree = build_bfs_tree(g, 2)
         table = relevance_table(emb, tree)
         for a in tree.order.tolist():
+            oracle = step_distribution(emb.values, tree, a)
             for b in tree.tree_neighbors(a):
                 for s in (P, N):
                     assert table.step(tree, a, b, s) == pytest.approx(
-                        relevance(emb, tree, a, b, s), abs=1e-12
+                        oracle[(b, s.value)], abs=1e-12
                     )
 
     def test_overflow_guard_for_huge_dots(self):
         g = path_graph(2)
         emb = embedding_from([[900.0], [1.0]])
         tree = build_bfs_tree(g, 0)
-        assert relevance(emb, tree, 0, 1, P) == pytest.approx(1.0)
-        assert relevance(emb, tree, 0, 1, N) == pytest.approx(0.0, abs=1e-300)
         table = relevance_table(emb, tree)
+        assert table.step(tree, 0, 1, P) == pytest.approx(1.0)
+        assert table.step(tree, 0, 1, N) == pytest.approx(0.0, abs=1e-300)
         assert np.isfinite(table.down_pos).all()
 
 
@@ -366,22 +377,36 @@ class TestModifiedSoftmax:
             assert mass[depth] / mass[depth - 1] == pytest.approx(0.5)
 
 
+def walk_counts(batch):
+    """Draws per (hop id tuple, hop sign tuple)."""
+    counts: dict = {}
+    for key in batch_walks(batch):
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def outcome_counts(batch):
+    """Draws per emitted (node, Sign)."""
+    counts: dict = {}
+    for v, s in zip(batch.targets.tolist(), batch.signs.tolist()):
+        counts[(v, Sign(s))] = counts.get((v, Sign(s)), 0) + 1
+    return counts
+
+
 class TestSampler:
     def test_two_node_walk_matches_softmax(self):
         g = path_graph(2)
         emb = embedding_from([[0.8], [1.1]])
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
-        p = relevance(emb, tree, 0, 1, P)
+        p = table.step(tree, 0, 1, P)
         expected_pos = p * p + (1 - p) * (1 - p)
         assert modified_softmax(table, tree, 1, P) == pytest.approx(expected_pos)
         rng = np.random.default_rng(0)
         draws = 200_000
-        hits_pos = 0
-        for _ in range(draws):
-            node, sign = sample_signed_neighbor(table, tree, rng)
-            assert node == 1
-            hits_pos += sign is P
+        batch = sample_walk(table, tree, rng, draws)
+        assert (batch.targets == 1).all()
+        hits_pos = int((batch.signs == 1).sum())
         sigma = math.sqrt(expected_pos * (1 - expected_pos) / draws)
         assert abs(hits_pos / draws - expected_pos) < 3 * sigma
 
@@ -392,10 +417,8 @@ class TestSampler:
         table = relevance_table(emb, tree)
         rng = np.random.default_rng(1)
         draws = 100_000
-        counts = {1: 0, 2: 0, 3: 0}
-        for _ in range(draws):
-            node, _ = sample_signed_neighbor(table, tree, rng)
-            counts[node] += 1
+        batch = sample_walk(table, tree, rng, draws)
+        counts = {leaf: int((batch.targets == leaf).sum()) for leaf in (1, 2, 3)}
         sigma = math.sqrt((1 / 3) * (2 / 3) / draws)
         for leaf in (1, 2, 3):
             assert abs(counts[leaf] / draws - 1 / 3) < 3 * sigma
@@ -406,19 +429,32 @@ class TestSampler:
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
         rng = np.random.default_rng(2)
-        for _ in range(200):
-            walk = sample_walk(table, tree, rng)
-            assert walk.nodes[0] == tree.root
-            assert len(walk.step_signs) == len(walk.nodes)
-            for i in range(len(walk.nodes) - 1):
-                assert tree.parent_of(walk.nodes[i + 1]) == walk.nodes[i]
+        batch = sample_walk(table, tree, rng, 200)
+        assert len(batch) == 200
+        assert batch.hop_ptr[0] == 0
+        assert batch.hop_ptr[-1] == len(batch.hops) == len(batch.step_signs)
+        for target, sign, (hops, signs) in zip(
+            batch.targets.tolist(), batch.signs.tolist(), batch_walks(batch)
+        ):
+            assert list(hops) == walk_hops(tree, root_path(tree, target))
+            assert set(signs) <= {1, -1}
+            assert sign == math.prod(signs)
 
     def test_single_node_tree_rejected(self):
         emb = init_embeddings(1, 2, 0)
         lonely = build_bfs_tree(SignedGraph.from_edges(1, []), 0)
         lonely_table = relevance_table(emb, lonely)
         with pytest.raises(ValueError):
-            sample_walk(lonely_table, lonely, np.random.default_rng(0))
+            sample_walk(lonely_table, lonely, np.random.default_rng(0), 1)
+
+    @pytest.mark.parametrize("field", ["down_pos", "up_neg"])
+    def test_nan_step_probability_raises(self, field):
+        # every walk on this chain descends edge 0 or steps back along it
+        tree = build_bfs_tree(path_graph(3), 0)
+        table = relevance_table(init_embeddings(3, 2, 0), tree)
+        getattr(table, field)[0] = np.nan
+        with pytest.raises(FloatingPointError):
+            sample_walk(table, tree, np.random.default_rng(0), 5)
 
     def test_empirical_frequencies_match_softmax_small_graph(self):
         g = random_connected_graph(6, 6, 4)
@@ -428,10 +464,7 @@ class TestSampler:
         table = relevance_table(emb, tree)
         rng = np.random.default_rng(3)
         draws = 100_000
-        counts: dict = {}
-        for _ in range(draws):
-            key = sample_signed_neighbor(table, tree, rng)
-            counts[key] = counts.get(key, 0) + 1
+        counts = outcome_counts(sample_walk(table, tree, rng, draws))
         for v in tree.order.tolist():
             if v == tree.root:
                 continue
@@ -441,11 +474,41 @@ class TestSampler:
                 bound = 3 * math.sqrt(p * (1 - p) / draws) + 1e-4
                 assert abs(freq - p) < bound
 
+    @pytest.mark.parametrize(
+        "graph_seed, emb_seed, nodes", [(4, 8, 6), (12, 3, 8)]
+    )
+    def test_hop_sign_sequences_match_walk_oracle(
+        self, graph_seed, emb_seed, nodes
+    ):
+        # criterion 4 checks the (node, composed sign) marginal only; the
+        # gradient consumes every hop sign, so check whole walks
+        g = random_connected_graph(nodes, nodes, graph_seed)
+        emb = init_embeddings(nodes, 3, emb_seed)
+        emb.values *= 3.0
+        tree = build_bfs_tree(g, 0)
+        table = relevance_table(emb, tree)
+        draws = 1_000_000
+        counts = walk_counts(
+            sample_walk(table, tree, np.random.default_rng(99), draws)
+        )
+        walks = enumerate_walks(tree)
+        seen = 0
+        worst_z = 0.0
+        for path, signs in walks:
+            key = (tuple(walk_hops(tree, path)), tuple(signs))
+            p = walk_probability(emb.values, tree, path, signs)
+            hits = counts.get(key, 0)
+            seen += hits
+            sigma = math.sqrt(p * (1 - p) / draws)
+            worst_z = max(worst_z, abs(hits / draws - p) / sigma)
+        assert seen == draws  # every draw is one of the enumerated walks
+        assert worst_z <= 3.0, f"worst z {worst_z:.2f} over {len(walks)} walks"
+
 
 class TestTouchedNodes:
     def test_walk_plus_tree_neighbors(self):
         tree = build_bfs_tree(path_graph(5), 0)
-        assert touched_nodes(tree, [0, 1, 2]) == {0, 1, 2, 3}
+        assert touched_nodes(tree, [0, 1, 2]).tolist() == [0, 1, 2, 3]
 
     def test_update_cost_scales_like_degree_times_log_n(self):
         # gentle monotone-fit sanity check, not an exact constant
@@ -463,9 +526,10 @@ class TestTouchedNodes:
             for root in rng.choice(n, size=15, replace=False):
                 tree = build_bfs_tree(g, int(root))
                 table = relevance_table(emb, tree)
-                for _ in range(20):
-                    walk = sample_walk(table, tree, rng)
-                    sizes.append(len(touched_nodes(tree, walk.nodes)))
+                batch = sample_walk(table, tree, rng, 20)
+                for target in batch.targets.tolist():
+                    walk_nodes = root_path(tree, target)
+                    sizes.append(len(touched_nodes(tree, walk_nodes)))
             ratios.append(np.mean(sizes) / (avg_degree * math.log(n)))
         # normalized cost stays bounded as n grows 8x
         assert max(ratios) / min(ratios) < 3.0
