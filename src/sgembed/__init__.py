@@ -21,7 +21,6 @@ from .treewalk import (
     RelevanceTable,
     WalkBatch,
     build_bfs_tree,
-    modified_softmax,
     propagate,
     relevance_table,
     sample_walk,
@@ -35,7 +34,7 @@ from .generator import (
     init_embeddings,
     policy_gradient_update,
 )
-from .discriminator import LabeledEdge, Origin, sample_true_batch, score
+from .discriminator import EDGE_DTYPE, edge_batch, sample_true_batch
 from .trainer import (
     CheckpointError,
     TrainConfig,
@@ -52,7 +51,7 @@ from .evalkit import (
     FoldMetrics,
     MetricsReport,
     balance_audit,
-    edge_features,
+    edge_feature_matrix,
     fold_metrics,
     kfold_link_prediction,
     logreg_predict_proba,

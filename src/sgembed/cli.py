@@ -277,10 +277,8 @@ def _cmd_check_theorems(args) -> int:
                 max_norm_dev, abs(float(p_pos.sum() + p_neg.sum()) - 1.0)
             )
             mass = table.cum_pos + table.cum_neg
-            child, parent = tree.child_nodes, tree.parent_nodes
-            if len(child):
-                rise = float((mass[child] - mass[parent]).max())
-                max_decay_violation = max(max_decay_violation, rise)
+            rise = float((mass[tree.child_nodes] - mass[tree.parent_nodes]).max())
+            max_decay_violation = max(max_decay_violation, rise)
     norm_ok = max_norm_dev <= args.tolerance
     decay_ok = max_decay_violation <= 1e-12
     print(
@@ -385,10 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check-theorems",
-        help="normalization and decay property suites",
+        help="normalization and decay property suites (on --graph, or on "
+        "random graphs when it is absent)",
     )
     _add_graph_args(p, required=False)
-    p.add_argument("--synthetic", action="store_true")
     p.add_argument("--graphs", type=int, default=10)
     p.add_argument("--nodes", type=int, default=100)
     p.add_argument("--extra-edges", type=int, default=150)

@@ -1,36 +1,34 @@
 """Discriminator side: sigmoid edge scoring and ascent on labeled batches.
 
-The score of a signed edge is sigma(sign * d_u . d_v); the objective to
-ascend is the mean of log(score) over true edges and log(1 - score) over
-generated ones.
+A batch of labeled edges is one structured array of ``EDGE_DTYPE``: per
+edge its endpoints ``u`` and ``v``, its int8 ``sign`` (+1/-1) and whether
+it is ``true`` (drawn from the graph) or generated. The score of a signed
+edge is sigma(sign * d_u . d_v); the objective to ascend is the mean of
+log(score) over true edges and log(1 - score) over generated ones.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .generator import DivergenceError, EmbeddingMatrix
-from .sgraph import Sign, SignedGraph
+from .sgraph import SignedGraph
+
+EDGE_DTYPE = np.dtype(
+    [("u", np.int64), ("v", np.int64), ("sign", np.int8), ("true", np.bool_)]
+)
 
 
-class Origin(enum.Enum):
-    TRUE = "true"
-    FAKE = "fake"
-
-
-@dataclass(frozen=True)
-class LabeledEdge:
-    u: int
-    v: int
-    sign: Sign
-    origin: Origin
-
-    def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError("labeled edge endpoints must differ")
+def edge_batch(u, v, sign, true) -> np.ndarray:
+    """``EDGE_DTYPE`` batch from per-field arrays, scalars broadcast; raises
+    ValueError when an edge's endpoints coincide."""
+    batch = np.empty(np.broadcast(u, v, sign, true).shape, dtype=EDGE_DTYPE)
+    batch["u"], batch["v"], batch["sign"], batch["true"] = u, v, sign, true
+    if (batch["u"] == batch["v"]).any():
+        raise ValueError("labeled edge endpoints must differ")
+    return batch
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -42,73 +40,49 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def score(emb: EmbeddingMatrix, u: int, v: int, sign: Sign) -> float:
-    """sigma(sign * d_u . d_v); always strictly inside (0, 1)."""
-    if u == v:
-        raise ValueError("endpoints must differ")
-    z = np.asarray([sign.value * emb.dot(u, v)])
-    return float(_sigmoid(z)[0])
-
-
-def score_many(
-    emb: EmbeddingMatrix,
-    us: np.ndarray,
-    vs: np.ndarray,
-    sign_values: np.ndarray,
-) -> np.ndarray:
-    """Vectorized edge scores for parallel arrays of endpoints and signs."""
-    z = sign_values * np.einsum("ij,ij->i", emb.values[us], emb.values[vs])
-    return _sigmoid(z)
-
-
 def sample_true_batch(
     g: SignedGraph, center: int, count: int, rng: np.random.Generator
-) -> list[LabeledEdge]:
+) -> np.ndarray:
     """Sample ``count`` true edges at ``center`` with balanced signs.
 
     Each draw flips a fair sign coin, then picks uniformly (with
     replacement) among the center's neighbors of that sign, falling back
     to the other sign when none exist. This gives negative edges the same
     per-draw probability mass as positive ones despite their scarcity.
+    The coins are one uniform draw and the picks one integer draw.
     """
-    pos = g.neighbors(center, Sign.POSITIVE)
-    neg = g.neighbors(center, Sign.NEGATIVE)
-    if not pos and not neg:
+    lo, hi = g.indptr[center], g.indptr[center + 1]
+    if lo == hi:
         raise ValueError(f"center {center} is isolated")
-    batch = []
-    for _ in range(count):
-        want_positive = rng.random() < 0.5
-        pool, sign = (pos, Sign.POSITIVE) if want_positive else (neg, Sign.NEGATIVE)
-        if not pool:
-            pool, sign = (neg, Sign.NEGATIVE) if want_positive else (pos, Sign.POSITIVE)
-        nbr = pool[int(rng.integers(len(pool)))]
-        batch.append(LabeledEdge(center, nbr, sign, Origin.TRUE))
-    return batch
+    nbrs, signs = g.indices[lo:hi], g.signs[lo:hi]
+    pos, neg = nbrs[signs > 0], nbrs[signs < 0]
+    positive = rng.random(count) < 0.5
+    if not len(pos) or not len(neg):
+        positive[:] = len(pos) > 0
+    pick = rng.integers(0, np.where(positive, len(pos), len(neg)))
+    pools = np.concatenate([pos, neg])
+    nbr = pools[pick + np.where(positive, 0, len(pos))]
+    return edge_batch(center, nbr, np.where(positive, 1, -1), True)
 
 
-def _batch_arrays(batch: list[LabeledEdge]):
-    us = np.asarray([e.u for e in batch], dtype=np.int64)
-    vs = np.asarray([e.v for e in batch], dtype=np.int64)
-    signs = np.asarray([e.sign.value for e in batch], dtype=float)
-    is_true = np.asarray([e.origin is Origin.TRUE for e in batch], dtype=bool)
-    return us, vs, signs, is_true
-
-
-def objective(emb: EmbeddingMatrix, batch: list[LabeledEdge]) -> float:
+def objective(emb: EmbeddingMatrix, batch: np.ndarray) -> float:
     """Mean batch objective: log sigma(z) on true edges, log(1 - sigma(z))
     on fake ones, with z = sign * d_u . d_v."""
-    us, vs, signs, is_true = _batch_arrays(batch)
-    z = signs * np.einsum("ij,ij->i", emb.values[us], emb.values[vs])
-    terms = np.where(is_true, -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z))
+    z = batch["sign"] * np.einsum(
+        "ij,ij->i", emb.values[batch["u"]], emb.values[batch["v"]]
+    )
+    terms = np.where(
+        batch["true"], -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)
+    )
     return float(terms.mean())
 
 
-def batch_gradient(emb: EmbeddingMatrix, batch: list[LabeledEdge]) -> np.ndarray:
+def batch_gradient(emb: EmbeddingMatrix, batch: np.ndarray) -> np.ndarray:
     """Closed-form gradient of ``objective`` with respect to the table."""
-    us, vs, signs, is_true = _batch_arrays(batch)
+    us, vs, signs = batch["u"], batch["v"], batch["sign"]
     z = signs * np.einsum("ij,ij->i", emb.values[us], emb.values[vs])
     s = _sigmoid(z)
-    coef = np.where(is_true, 1.0 - s, -s) * signs / len(batch)
+    coef = np.where(batch["true"], 1.0 - s, -s) * signs / len(batch)
     grad = np.zeros_like(emb.values)
     np.add.at(grad, us, coef[:, None] * emb.values[vs])
     np.add.at(grad, vs, coef[:, None] * emb.values[us])
@@ -123,10 +97,10 @@ class DiscriminatorUpdateReport:
 
 
 def update(
-    emb: EmbeddingMatrix, batch: list[LabeledEdge], learning_rate: float
+    emb: EmbeddingMatrix, batch: np.ndarray, learning_rate: float
 ) -> DiscriminatorUpdateReport:
     """One gradient-ascent step on the mean batch objective."""
-    if not batch:
+    if not len(batch):
         raise ValueError("batch must be nonempty")
     value = objective(emb, batch)
     grad = batch_gradient(emb, batch)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .generator import EmbeddingMatrix
-from .sgraph import Sign, SignedGraph, inject_sparsity
+from .sgraph import SignedGraph, inject_sparsity
 from .trainer import TrainConfig, train
 
 logger = logging.getLogger(__name__)
@@ -47,33 +47,15 @@ class EdgeFeatureMode(enum.Enum):
             ) from None
 
 
-def edge_features(
-    emb: EmbeddingMatrix, u: int, v: int, mode: EdgeFeatureMode
-) -> np.ndarray:
-    """Edge vector for (u, v); Concat puts the lower node id first."""
-    if u == v:
-        raise ValueError("endpoints must differ")
-    x, y = emb.values[u], emb.values[v]
-    if mode is EdgeFeatureMode.L1:
-        return np.abs(x - y)
-    if mode is EdgeFeatureMode.L2:
-        return (x - y) ** 2
-    if mode is EdgeFeatureMode.HADAMARD:
-        return x * y
-    if mode is EdgeFeatureMode.AVERAGE:
-        return (x + y) / 2.0
-    lo, hi = (u, v) if u < v else (v, u)
-    return np.concatenate([emb.values[lo], emb.values[hi]])
-
-
 def edge_feature_matrix(
-    emb: EmbeddingMatrix,
-    pairs: list[tuple[int, int]],
-    mode: EdgeFeatureMode,
+    emb: EmbeddingMatrix, us, vs, mode: EdgeFeatureMode
 ) -> np.ndarray:
-    us = np.asarray([min(u, v) for u, v in pairs], dtype=np.int64)
-    vs = np.asarray([max(u, v) for u, v in pairs], dtype=np.int64)
-    x, y = emb.values[us], emb.values[vs]
+    """One feature row per edge (us[i], vs[i]); every mode is symmetric in
+    the endpoints, and Concat puts the lower node id first."""
+    us, vs = np.asarray(us), np.asarray(vs)
+    if (us == vs).any():
+        raise ValueError("endpoints must differ")
+    x, y = emb.values[np.minimum(us, vs)], emb.values[np.maximum(us, vs)]
     if mode is EdgeFeatureMode.L1:
         return np.abs(x - y)
     if mode is EdgeFeatureMode.L2:
@@ -268,20 +250,12 @@ def stratified_edge_folds(
     """
     if k_folds < 2:
         raise ValueError("k_folds must be at least 2")
-    pos = np.asarray(
-        [i for i, (_, _, s) in enumerate(g.edges) if s is Sign.POSITIVE]
-    )
-    neg = np.asarray(
-        [i for i, (_, _, s) in enumerate(g.edges) if s is Sign.NEGATIVE]
-    )
-    folds: list[list[int]] = [[] for _ in range(k_folds)]
+    pos, neg = np.flatnonzero(g.edge_sign > 0), np.flatnonzero(g.edge_sign < 0)
+    fold_of = np.empty(g.edge_count, dtype=np.int64)
     for idx in (pos, neg):
-        if len(idx) == 0:
-            continue
-        shuffled = rng.permutation(idx)
-        for f in range(k_folds):
-            folds[f].extend(shuffled[f::k_folds].tolist())
-    return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
+        if len(idx):
+            fold_of[rng.permutation(idx)] = np.arange(len(idx)) % k_folds
+    return [np.flatnonzero(fold_of == f) for f in range(k_folds)]
 
 
 def _select_table(theta_j, theta_d, use_embeddings: str) -> EmbeddingMatrix:
@@ -292,31 +266,28 @@ def _select_table(theta_j, theta_d, use_embeddings: str) -> EmbeddingMatrix:
     raise ValueError("use_embeddings must be 'generator' or 'discriminator'")
 
 
-def _evaluate_fold(table, pairs_all, labels_all, train_idx, test_idx, feature_mode):
-    """Train the classifier on one fold's train split and score its test
-    split against the given embedding table."""
+def _evaluate_fold(table, g, train_idx, test_idx, feature_mode):
+    """Train the classifier on one fold's train split (edge indices of g)
+    and score its test split against the given embedding table."""
     feats_train = edge_feature_matrix(
-        table, [pairs_all[i] for i in train_idx], feature_mode
+        table, g.edge_u[train_idx], g.edge_v[train_idx], feature_mode
     )
     feats_test = edge_feature_matrix(
-        table, [pairs_all[i] for i in test_idx], feature_mode
+        table, g.edge_u[test_idx], g.edge_v[test_idx], feature_mode
     )
-    model = logreg_train(feats_train, labels_all[train_idx])
+    labels = (g.edge_sign > 0).astype(int)
+    model = logreg_train(feats_train, labels[train_idx])
     y_pred = (logreg_predict_proba(model, feats_test) >= 0.5).astype(int)
-    return fold_metrics(labels_all[test_idx], y_pred)
+    return fold_metrics(labels[test_idx], y_pred)
 
 
 def _strict_fold_job(args) -> FoldMetrics:
     """Retrain embeddings without the held-out edges, then evaluate."""
-    (g, pairs_all, labels_all, train_idx, test_idx, cfg, feature_mode,
-     use_embeddings) = args
-    train_edges = [g.edges[i] for i in train_idx]
-    sub = SignedGraph.from_edges(g.node_count, train_edges)
+    g, train_idx, test_idx, cfg, feature_mode, use_embeddings = args
+    sub = SignedGraph.from_edges(g.node_count, g.edge_triples()[train_idx])
     theta_j, theta_d, _ = train(sub, cfg)
     table = _select_table(theta_j, theta_d, use_embeddings)
-    return _evaluate_fold(
-        table, pairs_all, labels_all, train_idx, test_idx, feature_mode
-    )
+    return _evaluate_fold(table, g, train_idx, test_idx, feature_mode)
 
 
 def kfold_link_prediction(
@@ -356,33 +327,25 @@ def kfold_link_prediction(
         theta_j, theta_d, _ = train(g, cfg)
         table = _select_table(theta_j, theta_d, use_embeddings)
 
-    labels_all = np.asarray(
-        [1 if s is Sign.POSITIVE else 0 for _, _, s in g.edges], dtype=int
-    )
-    pairs_all = [(u, v) for u, v, _ in g.edges]
+    positive = g.edge_sign > 0
     splits = []
     for f, test_idx in enumerate(folds):
         if len(test_idx) == 0:
             raise ValueError(f"fold {f} is empty; reduce k_folds")
-        test_mask = np.zeros(g.edge_count, dtype=bool)
-        test_mask[test_idx] = True
-        train_idx = np.flatnonzero(~test_mask)
-        y_train = labels_all[train_idx]
-        if y_train.min() == y_train.max():
+        train_idx = np.setdiff1d(np.arange(g.edge_count), test_idx)
+        if positive[train_idx].all() or not positive[train_idx].any():
             raise ValueError(f"fold {f}: training split has a single class")
         splits.append((train_idx, test_idx))
 
     if table is not None:
         results = [
-            _evaluate_fold(
-                table, pairs_all, labels_all, train_idx, test_idx, feature_mode
-            )
+            _evaluate_fold(table, g, train_idx, test_idx, feature_mode)
             for train_idx, test_idx in splits
         ]
     else:
         jobs = [
             (
-                g, pairs_all, labels_all, train_idx, test_idx,
+                g, train_idx, test_idx,
                 replace(
                     train_cfg,
                     seed=int(fold_train_ss[f].generate_state(1)[0]),
@@ -436,11 +399,11 @@ def balance_audit(
     number of positive edges without replacement; APED (positive) below
     ANED (negative) indicates extended structural balance.
     """
-    pos = [(u, v) for u, v, s in g.edges if s is Sign.POSITIVE]
-    neg = [(u, v) for u, v, s in g.edges if s is Sign.NEGATIVE]
-    if not neg:
+    pos = np.flatnonzero(g.edge_sign > 0)
+    neg = np.flatnonzero(g.edge_sign < 0)
+    if not len(neg):
         raise ValueError("graph has no negative edges")
-    if not pos:
+    if not len(pos):
         raise ValueError("graph has no positive edges")
     k = int(sample_fraction * len(neg))
     if k == 0:
@@ -453,16 +416,13 @@ def balance_audit(
     neg_pick = rng.choice(len(neg), size=k, replace=False)
     pos_pick = rng.choice(len(pos), size=k, replace=False)
 
-    def mean_distance(pairs, pick):
-        us = np.asarray([pairs[i][0] for i in pick], dtype=np.int64)
-        vs = np.asarray([pairs[i][1] for i in pick], dtype=np.int64)
-        return float(
-            np.linalg.norm(emb.values[us] - emb.values[vs], axis=1).mean()
-        )
+    def mean_distance(edges):
+        gap = emb.values[g.edge_u[edges]] - emb.values[g.edge_v[edges]]
+        return float(np.linalg.norm(gap, axis=1).mean())
 
     return BalanceAudit(
-        aped=mean_distance(pos, pos_pick),
-        aned=mean_distance(neg, neg_pick),
+        aped=mean_distance(pos[pos_pick]),
+        aned=mean_distance(neg[neg_pick]),
         positive_sampled=k,
         negative_sampled=k,
     )

@@ -16,11 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .sgraph import SignedGraph
 from .treewalk import (
     BfsTree,
     WalkBatch,
-    build_bfs_tree,
     relevance_table,
     sample_walk,
     touched_nodes,
@@ -38,7 +36,6 @@ class EmbeddingMatrix:
     """Dense |V| x k real embedding table; row i embeds node i."""
 
     values: np.ndarray
-    seed: int | None = None
 
     @property
     def rows(self) -> int:
@@ -48,11 +45,8 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def dot(self, u: int, v: int) -> float:
-        return float(self.values[u] @ self.values[v])
-
     def copy(self) -> "EmbeddingMatrix":
-        return EmbeddingMatrix(values=self.values.copy(), seed=self.seed)
+        return EmbeddingMatrix(values=self.values.copy())
 
     def checksum(self) -> str:
         h = hashlib.blake2b(digest_size=8)
@@ -73,26 +67,30 @@ class EmbeddingMatrix:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingMatrix":
+        """Read the ``save`` format. Raises ValueError, with the path and
+        line number, on a malformed line or a non-finite coordinate."""
         with open(path, "rt", encoding="utf-8") as fh:
             lines = [
-                ln.strip() for ln in fh
+                (lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1)
                 if ln.strip() and not ln.startswith("#")
             ]
         if not lines:
             raise ValueError(f"{path}: empty embedding file")
-        rows, dim = (int(x) for x in lines[0].split())
+        rows, dim = (int(x) for x in lines[0][1].split())
         if len(lines) - 1 != rows:
             raise ValueError(
                 f"{path}: header declares {rows} rows, found {len(lines) - 1}"
             )
         values = np.zeros((rows, dim))
         seen = np.zeros(rows, dtype=bool)
-        for ln in lines[1:]:
+        for lineno, ln in lines[1:]:
             parts = ln.split()
             i = int(parts[0])
             if not 0 <= i < rows or len(parts) != dim + 1:
-                raise ValueError(f"{path}: bad embedding line {ln!r}")
+                raise ValueError(f"{path}:{lineno}: bad embedding line {ln!r}")
             values[i] = [float(x) for x in parts[1:]]
+            if not np.isfinite(values[i]).all():
+                raise ValueError(f"{path}:{lineno}: non-finite coordinate")
             seen[i] = True
         if not seen.all():
             raise ValueError(f"{path}: missing node rows")
@@ -104,31 +102,22 @@ def init_embeddings(node_count: int, dim: int, seed) -> EmbeddingMatrix:
     if node_count <= 0 or dim <= 0:
         raise ValueError("node_count and dim must be positive")
     rng = np.random.default_rng(seed)
-    values = rng.normal(0.0, 0.1, size=(node_count, dim))
-    entropy = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    return EmbeddingMatrix(values=values, seed=entropy)
+    return EmbeddingMatrix(values=rng.normal(0.0, 0.1, size=(node_count, dim)))
 
 
 def generate_fakes(
-    g: SignedGraph,
-    emb: EmbeddingMatrix,
-    center: int,
-    count: int,
-    rng: np.random.Generator,
-    max_depth: int | None = None,
-    tree: BfsTree | None = None,
+    emb: EmbeddingMatrix, tree: BfsTree, count: int, rng: np.random.Generator
 ) -> WalkBatch | None:
-    """Draw ``count`` fake signed neighbors of ``center`` as one batch.
+    """Draw ``count`` fake signed neighbors of the tree's root as one batch.
 
-    Builds the BFS tree and relevance table once and samples every walk
-    from them. An isolated center yields None with a logged warning.
+    Builds the relevance table once and samples every walk from it. A tree
+    that covers only its root (an isolated center) yields None with a
+    logged warning.
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    if tree is None:
-        tree = build_bfs_tree(g, center, max_depth)
     if tree.covered_count < 2:
-        logger.warning("center %d is isolated; no fakes generated", center)
+        logger.warning("center %d is isolated; no fakes generated", tree.root)
         return None
     return sample_walk(relevance_table(emb, tree), tree, rng, count)
 

@@ -1,14 +1,20 @@
 """Signed-graph data model: ingestion, subsampling, sparsity injection, synthesis.
 
 Graphs are undirected, unweighted apart from the edge sign, with dense
-integer node ids. All values are immutable after construction and safe to
+integer node ids. A graph is arrays only: its edges in input order
+(``edge_u < edge_v`` and an int8 ``edge_sign`` of +1/-1) and a CSR of
+each node's neighbors in ascending id with their signs. ``Sign`` and the
+``edges`` tuples are views for callers at the API edge; the package itself
+reads the arrays. All values are immutable after construction and safe to
 share across threads for reading.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -26,8 +32,9 @@ class EdgeListError(ValueError):
     """Raised for unreadable, malformed, or empty edge-list inputs."""
 
 
-class Sign(enum.Enum):
-    """Edge polarity. The enum value is the numeric projection (+1 / -1)."""
+class Sign(enum.IntEnum):
+    """Edge polarity. The enum value is the numeric projection (+1 / -1),
+    so a Sign converts to the int8 sign the edge arrays hold."""
 
     POSITIVE = 1
     NEGATIVE = -1
@@ -44,67 +51,107 @@ class Sign(enum.Enum):
         raise ValueError("sign value must be nonzero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedGraph:
     """Undirected signed graph over dense node ids [0, node_count).
 
-    ``edges`` holds one entry per unordered pair, canonicalized as
-    (u, v, sign) with u < v. ``adjacency[u]`` lists (neighbor, sign) pairs
-    sorted by neighbor id, and is symmetric by construction.
+    Edge i joins ``edge_u[i] < edge_v[i]`` with sign ``edge_sign[i]``, in
+    the order the edges were given. Node a's neighbors, in ascending id,
+    are ``indices[indptr[a]:indptr[a + 1]]`` and their edge signs the same
+    slice of ``signs``; every edge appears once from each end. All arrays
+    are read-only.
     """
 
     node_count: int
-    edges: tuple[tuple[int, int, Sign], ...]
-    adjacency: tuple[tuple[tuple[int, Sign], ...], ...]
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    edge_sign: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    signs: np.ndarray
 
     @classmethod
     def from_edges(
-        cls, node_count: int, edges: Iterable[tuple[int, int, Sign]]
+        cls, node_count: int, edges: Iterable[tuple[int, int, int]] | np.ndarray
     ) -> "SignedGraph":
+        """Build from (u, v, sign) triples: an iterable of tuples whose sign
+        is a Sign or +1/-1, or an (E, 3) integer array of the same rows.
+
+        Raises ValueError naming the first edge that lies outside the node
+        range, is a self-loop, has a sign other than +1/-1, or repeats an
+        unordered pair.
+        """
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
-        canonical: list[tuple[int, int, Sign]] = []
-        seen: set[tuple[int, int]] = set()
-        adj: list[list[tuple[int, Sign]]] = [[] for _ in range(node_count)]
-        for u, v, sign in edges:
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValueError(f"edge ({u},{v}) outside [0,{node_count})")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
-                raise ValueError(f"duplicate edge for pair {pair}")
-            seen.add(pair)
-            canonical.append((pair[0], pair[1], sign))
-            adj[u].append((v, sign))
-            adj[v].append((u, sign))
-        for lst in adj:
-            lst.sort(key=lambda item: item[0])
-        return cls(
-            node_count=node_count,
-            edges=tuple(canonical),
-            adjacency=tuple(tuple(lst) for lst in adj),
-        )
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        u, v, sign = np.asarray(edges, dtype=np.int64).reshape(-1, 3).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        outside = (lo < 0) | (hi >= node_count)
+        loop = u == v
+        bad_sign = np.abs(sign) != 1
+        _, first = np.unique(lo * node_count + hi, return_index=True)
+        repeat = np.ones(len(u), dtype=bool)
+        repeat[first] = False
+        bad = np.flatnonzero(outside | loop | bad_sign | repeat)
+        if len(bad):
+            i = bad[0]
+            edge = f"edge ({u[i]},{v[i]})"
+            if outside[i]:
+                raise ValueError(f"{edge} outside [0,{node_count})")
+            if loop[i]:
+                raise ValueError(f"self-loop at node {u[i]}")
+            if bad_sign[i]:
+                raise ValueError(f"{edge} has sign {sign[i]}, not +1/-1")
+            raise ValueError(f"duplicate edge for pair ({lo[i]}, {hi[i]})")
+        src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        by_node = np.lexsort((dst, src))
+        indptr = np.zeros(node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+        arrays = {
+            "edge_u": lo,
+            "edge_v": hi,
+            "edge_sign": sign.astype(np.int8),
+            "indptr": indptr,
+            "indices": dst[by_node],
+            "signs": np.concatenate([sign, sign])[by_node].astype(np.int8),
+        }
+        for a in arrays.values():
+            a.flags.writeable = False
+        return cls(node_count=node_count, **arrays)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_u)
 
     @property
     def positive_edge_count(self) -> int:
-        return sum(1 for _, _, s in self.edges if s is Sign.POSITIVE)
+        return int(np.count_nonzero(self.edge_sign > 0))
 
     @property
     def negative_edge_count(self) -> int:
-        return sum(1 for _, _, s in self.edges if s is Sign.NEGATIVE)
+        return self.edge_count - self.positive_edge_count
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, Sign], ...]:
+        """(u, v, Sign) per edge with u < v, in edge order."""
+        return tuple((u, v, Sign(s)) for u, v, s in self.edge_triples().tolist())
 
     def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
+        return int(self.indptr[node + 1] - self.indptr[node])
 
-    def neighbors(self, node: int, sign: Sign | None = None) -> list[int]:
-        if sign is None:
-            return [w for w, _ in self.adjacency[node]]
-        return [w for w, s in self.adjacency[node] if s is sign]
+    def edge_triples(self) -> np.ndarray:
+        """(E, 3) int64 rows (u, v, sign) in edge order, as ``from_edges``
+        takes them."""
+        return np.column_stack([self.edge_u, self.edge_v, self.edge_sign])
+
+    def fingerprint(self) -> str:
+        """Node count plus a blake2b digest of the CSR, which fixes the
+        graph independently of the order its edges were given in."""
+        h = hashlib.blake2b(digest_size=8)
+        for a in (self.indptr, self.indices, self.signs):
+            h.update(a.astype("<i8").tobytes())
+        return f"{self.node_count}:{h.hexdigest()}"
 
 
 @dataclass(frozen=True)
@@ -161,7 +208,8 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
     Node ids are remapped to dense integers in first-appearance order.
     Duplicate unordered pairs are resolved by sign majority; exact ties are
     dropped. Self-loops are dropped. Raises EdgeListError on unreadable
-    files, malformed lines (with line number), or when no node survives.
+    files, malformed lines or non-finite values (with the line number),
+    or when no node survives.
     """
     path = Path(spec.path)
     remap: dict[int, int] = {}
@@ -202,6 +250,10 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
                     f"{path}:{lineno}: cannot parse (int, int, number) "
                     f"from {line!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise EdgeListError(
+                    f"{path}:{lineno}: non-finite value {parts[2]!r}"
+                )
             report.lines_parsed += 1
             u = remap.setdefault(u_raw, len(remap))
             v = remap.setdefault(v_raw, len(remap))
@@ -209,22 +261,15 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
                 report.self_loops_dropped += 1
                 continue
             if spec.rating_threshold is not None:
-                sign = (
-                    Sign.POSITIVE
-                    if value >= spec.rating_threshold
-                    else Sign.NEGATIVE
-                )
+                positive = value >= spec.rating_threshold
             elif value == 0:
                 report.zero_sign_dropped += 1
                 continue
             else:
-                sign = Sign.from_number(value)
+                positive = value > 0
             pair = (u, v) if u < v else (v, u)
-            if pair in counts:
-                report.duplicate_lines += 1
-            else:
-                counts[pair] = [0, 0]
-            counts[pair][0 if sign is Sign.POSITIVE else 1] += 1
+            report.duplicate_lines += pair in counts
+            counts.setdefault(pair, [0, 0])[0 if positive else 1] += 1
 
     node_count = len(remap)
     if declared_nodes is not None:
@@ -237,18 +282,14 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
     if node_count == 0:
         raise EdgeListError(f"{path}: empty graph after cleaning")
 
-    edges: list[tuple[int, int, Sign]] = []
-    for (u, v), (n_pos, n_neg) in counts.items():
-        if n_pos and n_neg:
-            report.conflicting_pairs += 1
-        if n_pos > n_neg:
-            edges.append((u, v, Sign.POSITIVE))
-        elif n_neg > n_pos:
-            edges.append((u, v, Sign.NEGATIVE))
-        else:
-            report.tie_dropped_pairs += 1
-
-    graph = SignedGraph.from_edges(node_count, edges)
+    pairs = np.array(list(counts), dtype=np.int64).reshape(-1, 2)
+    n_pos, n_neg = np.array(list(counts.values()), dtype=np.int64).reshape(-1, 2).T
+    report.conflicting_pairs = int(np.count_nonzero((n_pos > 0) & (n_neg > 0)))
+    report.tie_dropped_pairs = int(np.count_nonzero(n_pos == n_neg))
+    keep = n_pos != n_neg
+    graph = SignedGraph.from_edges(
+        node_count, np.column_stack([pairs[keep], np.sign(n_pos - n_neg)[keep]])
+    )
     report.nodes = graph.node_count
     report.edges_kept = graph.edge_count
     report.positive_edges = graph.positive_edge_count
@@ -269,8 +310,7 @@ def save_edge_list(
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(f"{_NODE_COUNT_DIRECTIVE} {g.node_count}\n")
-        for u, v, sign in g.edges:
-            fh.write(f"{u} {v} {sign.value}\n")
+        np.savetxt(fh, g.edge_triples(), fmt="%d")
 
 
 def top_degree_subgraph(g: SignedGraph, n: int) -> SignedGraph:
@@ -283,15 +323,12 @@ def top_degree_subgraph(g: SignedGraph, n: int) -> SignedGraph:
         raise ValueError("n must be positive")
     if n > g.node_count:
         raise ValueError(f"n={n} exceeds node count {g.node_count}")
-    by_degree = sorted(range(g.node_count), key=lambda v: (-g.degree(v), v))
-    selected = sorted(by_degree[:n])
-    remap = {old: new for new, old in enumerate(selected)}
-    edges = [
-        (remap[u], remap[v], s)
-        for u, v, s in g.edges
-        if u in remap and v in remap
-    ]
-    return SignedGraph.from_edges(n, edges)
+    by_degree = np.argsort(-np.diff(g.indptr), kind="stable")
+    remap = np.full(g.node_count, -1, dtype=np.int64)
+    remap[np.sort(by_degree[:n])] = np.arange(n)
+    u, v = remap[g.edge_u], remap[g.edge_v]
+    keep = (u >= 0) & (v >= 0)
+    return SignedGraph.from_edges(n, np.column_stack([u, v, g.edge_sign])[keep])
 
 
 def inject_sparsity(g: SignedGraph, fraction: float, seed: int) -> SignedGraph:
@@ -302,12 +339,11 @@ def inject_sparsity(g: SignedGraph, fraction: float, seed: int) -> SignedGraph:
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must be in [0, 1)")
     k = round(fraction * g.edge_count)
-    if k == 0:
-        return SignedGraph.from_edges(g.node_count, g.edges)
-    rng = np.random.default_rng(seed)
-    drop = set(rng.choice(g.edge_count, size=k, replace=False).tolist())
-    kept = [e for i, e in enumerate(g.edges) if i not in drop]
-    return SignedGraph.from_edges(g.node_count, kept)
+    keep = np.ones(g.edge_count, dtype=bool)
+    if k:
+        rng = np.random.default_rng(seed)
+        keep[rng.choice(g.edge_count, size=k, replace=False)] = False
+    return SignedGraph.from_edges(g.node_count, g.edge_triples()[keep])
 
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> SignedGraph:
@@ -317,22 +353,13 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> SignedGraph:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    pairs: set[tuple[int, int]] = set()
-    for i in range(1, n):
-        u = int(perm[i])
-        v = int(perm[rng.integers(i)])
-        pairs.add((u, v) if u < v else (v, u))
-    for _ in range(extra_edges):
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        pairs.add((u, v) if u < v else (v, u))
-    edges = [
-        (u, v, Sign.POSITIVE if rng.random() < 0.5 else Sign.NEGATIVE)
-        for u, v in sorted(pairs)
-    ]
-    return SignedGraph.from_edges(n, edges)
+    # node perm[i] hangs off a uniformly drawn earlier node of perm
+    tree = np.column_stack([perm[1:], perm[rng.integers(np.arange(1, n))]])
+    extra = rng.integers(n, size=(extra_edges, 2))
+    pairs = np.concatenate([tree, extra[extra[:, 0] != extra[:, 1]]])
+    pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+    signs = np.where(rng.random(len(pairs)) < 0.5, 1, -1)
+    return SignedGraph.from_edges(n, np.column_stack([pairs, signs]))
 
 
 def synth_balanced(
@@ -360,15 +387,15 @@ def synth_balanced(
             raise ValueError(f"{name} must be in [0, 1]")
     n = communities * size
     rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int, Sign]] = []
+    edges: list[tuple[int, int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):
             same = (i // size) == (j // size)
             p_edge = p_intra if same else p_inter
             if rng.random() >= p_edge:
                 continue
-            sign = Sign.POSITIVE if same else Sign.NEGATIVE
+            sign = 1 if same else -1
             if noise > 0 and rng.random() < noise:
-                sign = sign.flip()
+                sign = -sign
             edges.append((i, j, sign))
     return SignedGraph.from_edges(n, edges)

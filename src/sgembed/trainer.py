@@ -10,7 +10,8 @@ All randomness flows from a single seed: SeedSequence(seed) spawns three
 children used, in order, for the generator init, the discriminator init,
 and the training sample stream. Runs are bit-reproducible in
 single-threaded mode, and checkpoints capture embeddings, the stream
-state, and the epoch counter exactly.
+state, and the epoch counter exactly, together with a fingerprint of the
+graph they were trained on.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ import numpy as np
 
 from . import discriminator, generator
 from .generator import DivergenceError, EmbeddingMatrix, init_embeddings
-from .sgraph import Sign, SignedGraph
+from .sgraph import SignedGraph
 from .treewalk import BfsTree, build_bfs_tree
 
 logger = logging.getLogger(__name__)
 
 _CKPT_MAGIC = b"SGEMBCKP"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -185,15 +186,17 @@ class TrainState:
     theta_j: EmbeddingMatrix
     theta_d: EmbeddingMatrix
     rng_state: dict
+    graph_fingerprint: str
 
 
-def _snapshot(cfg, epochs_done, theta_j, theta_d, stream) -> TrainState:
+def _snapshot(cfg, epochs_done, theta_j, theta_d, stream, graph) -> TrainState:
     return TrainState(
         config=cfg,
         epochs_done=epochs_done,
         theta_j=theta_j.copy(),
         theta_d=theta_d.copy(),
         rng_state=copy.deepcopy(stream.bit_generator.state),
+        graph_fingerprint=graph,
     )
 
 
@@ -213,14 +216,21 @@ def train(
 ) -> tuple[EmbeddingMatrix, EmbeddingMatrix, TrainReport]:
     """Run the adversarial loop, returning both embedding tables.
 
-    With ``resume_from`` the run continues from the saved state; the
+    With ``resume_from`` the run continues from the saved state, which
+    must have been trained on this graph (same fingerprint); the
     supplied config may then differ only in ``outer_epochs``. When
     ``checkpoint_path`` is set the final state is written there, as is the
     last good state if an update diverges (before TrainingDiverged is
     re-raised).
     """
+    fingerprint = g.fingerprint()
     if resume_from is not None:
         state = resume_from
+        if state.graph_fingerprint != fingerprint:
+            raise ValueError(
+                f"checkpoint was trained on graph {state.graph_fingerprint}, "
+                f"not on this graph ({fingerprint})"
+            )
         if cfg is None:
             cfg = state.config
         elif replace(cfg, outer_epochs=0) != replace(state.config, outer_epochs=0):
@@ -246,14 +256,13 @@ def train(
     trees: dict[int, BfsTree] = {}
 
     def tree_for(center: int) -> BfsTree:
-        tree = trees.get(center)
-        if tree is None:
-            tree = build_bfs_tree(g, center, cfg.max_tree_depth)
-            trees[center] = tree
-        return tree
+        if center not in trees:
+            trees[center] = build_bfs_tree(g, center, cfg.max_tree_depth)
+        return trees[center]
 
+    active = np.diff(g.indptr) > 0
     epochs: list[EpochStats] = []
-    last_good = _snapshot(cfg, start_epoch, theta_j, theta_d, stream)
+    last_good = _snapshot(cfg, start_epoch, theta_j, theta_d, stream, fingerprint)
 
     for epoch in range(start_epoch, cfg.outer_epochs):
         t0 = time.perf_counter()
@@ -261,41 +270,28 @@ def train(
         d_norms: list[float] = []
         g_rewards: list[float] = []
         g_norms: list[float] = []
-        n_true = n_fake = n_true_pos = n_true_neg = 0
+        n_true = n_fake = n_true_pos = 0
         try:
             for _ in range(cfg.d_epochs):
-                for center in stream.permutation(g.node_count):
-                    center = int(center)
-                    if g.degree(center) == 0:
+                for center in stream.permutation(g.node_count).tolist():
+                    if not active[center]:
                         continue
                     true_batch = discriminator.sample_true_batch(
                         g, center, cfg.samples_per_center, stream
                     )
                     fakes = generator.generate_fakes(
-                        g, theta_j, center, cfg.samples_per_center,
-                        stream, cfg.max_tree_depth, tree=tree_for(center),
+                        theta_j, tree_for(center), cfg.samples_per_center, stream
                     )
-                    fake_batch = [
-                        discriminator.LabeledEdge(
-                            center, v, Sign(s), discriminator.Origin.FAKE
-                        )
-                        for v, s in zip(
-                            fakes.targets.tolist(), fakes.signs.tolist()
-                        )
-                    ]
                     n_true += len(true_batch)
-                    n_fake += len(fake_batch)
-                    pos_in_batch = sum(
-                        1 for e in true_batch if e.sign is Sign.POSITIVE
+                    n_fake += len(fakes)
+                    n_true_pos += int(np.count_nonzero(true_batch["sign"] > 0))
+                    # interleave so every chunk stays balanced; both
+                    # batches hold samples_per_center edges
+                    combined = np.empty(2 * len(fakes), discriminator.EDGE_DTYPE)
+                    combined[0::2] = true_batch
+                    combined[1::2] = discriminator.edge_batch(
+                        center, fakes.targets, fakes.signs, False
                     )
-                    n_true_pos += pos_in_batch
-                    n_true_neg += len(true_batch) - pos_in_batch
-                    # interleave so every chunk stays balanced
-                    combined: list[discriminator.LabeledEdge] = []
-                    for t_edge, f_edge in zip(true_batch, fake_batch):
-                        combined.extend((t_edge, f_edge))
-                    combined.extend(true_batch[len(fake_batch):])
-                    combined.extend(fake_batch[len(true_batch):])
                     for i in range(0, len(combined), cfg.batch_size):
                         rep = discriminator.update(
                             theta_d,
@@ -305,13 +301,11 @@ def train(
                         d_losses.append(-rep.objective)
                         d_norms.append(rep.gradient_norm)
             for _ in range(cfg.g_epochs):
-                for center in stream.permutation(g.node_count):
-                    center = int(center)
-                    if g.degree(center) == 0:
+                for center in stream.permutation(g.node_count).tolist():
+                    if not active[center]:
                         continue
                     fakes = generator.generate_fakes(
-                        g, theta_j, center, cfg.samples_per_center,
-                        stream, cfg.max_tree_depth, tree=tree_for(center),
+                        theta_j, tree_for(center), cfg.samples_per_center, stream
                     )
                     if not fakes:
                         continue
@@ -337,7 +331,7 @@ def train(
                 true_samples=n_true,
                 fake_samples=n_fake,
                 true_positive=n_true_pos,
-                true_negative=n_true_neg,
+                true_negative=n_true - n_true_pos,
             )
         )
         logger.info(
@@ -345,7 +339,7 @@ def train(
             epoch, epochs[-1].d_loss, epochs[-1].g_reward,
             epochs[-1].wall_time,
         )
-        last_good = _snapshot(cfg, epoch + 1, theta_j, theta_d, stream)
+        last_good = _snapshot(cfg, epoch + 1, theta_j, theta_d, stream, fingerprint)
 
     report = TrainReport(
         config=cfg,
@@ -364,6 +358,7 @@ def checkpoint(state: TrainState, path: str | Path) -> None:
         {
             "config": state.config.to_dict(),
             "epochs_done": state.epochs_done,
+            "graph": state.graph_fingerprint,
             "rng_state": _jsonable_rng(state.rng_state),
             "rows": state.theta_j.rows,
             "dim": state.theta_j.dim,
@@ -413,6 +408,7 @@ def resume(path: str | Path) -> TrainState:
         theta_j=EmbeddingMatrix(values=theta_j),
         theta_d=EmbeddingMatrix(values=theta_d),
         rng_state=header["rng_state"],
+        graph_fingerprint=header["graph"],
     )
 
 

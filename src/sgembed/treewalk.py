@@ -22,13 +22,11 @@ walks are drawn in closed form from the same table.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .sgraph import Sign, SignedGraph
+from .sgraph import SignedGraph
 
 
 @dataclass
@@ -48,10 +46,6 @@ class BfsTree:
     parent_nodes: np.ndarray
     edge_of_child: np.ndarray
 
-    @cached_property
-    def covered(self) -> frozenset[int]:
-        return frozenset(self.order.tolist())
-
     @property
     def covered_count(self) -> int:
         return len(self.order)
@@ -59,17 +53,6 @@ class BfsTree:
     @property
     def depth(self) -> int:
         return int(self.level[self.order].max())
-
-    def parent_of(self, node: int) -> int | None:
-        p = int(self.parent[node])
-        return None if p < 0 else p
-
-    def children_of(self, node: int) -> list[int]:
-        return self.child_nodes[self.parent_nodes == node].tolist()
-
-    def tree_neighbors(self, node: int) -> list[int]:
-        parent = self.parent_of(node)
-        return self.children_of(node) + ([] if parent is None else [parent])
 
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(source, destination) of every directed tree edge.
@@ -89,7 +72,10 @@ def build_bfs_tree(
     """BFS tree with deterministic ascending-id neighbor exploration.
 
     Covers the root's connected component, or its truncation when
-    ``max_depth`` is given.
+    ``max_depth`` is given. Expands one level at a time over the CSR: the
+    next level is the unvisited nodes of the level's concatenated neighbor
+    lists, each at its first occurrence and with the node that found it as
+    parent, which is the tree a FIFO queue would build.
     """
     if not 0 <= root < g.node_count:
         raise ValueError(f"root {root} outside [0,{g.node_count})")
@@ -97,28 +83,34 @@ def build_bfs_tree(
     parent = np.full(n, -1, dtype=np.int64)
     level = np.full(n, -1, dtype=np.int64)
     level[root] = 0
-    order = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        if max_depth is not None and level[u] >= max_depth:
-            continue
-        for w, _ in g.adjacency[u]:
-            if level[w] < 0:
-                level[w] = level[u] + 1
-                parent[w] = u
-                order.append(w)
-                queue.append(w)
+    frontier = np.array([root], dtype=np.int64)
+    levels = [frontier]
+    depth = 0
+    while len(frontier) and (max_depth is None or depth < max_depth):
+        start = g.indptr[frontier]
+        sizes = g.indptr[frontier + 1] - start
+        # slot k of node i's neighbor list sits at start[i] + k
+        offsets = np.repeat(start - np.cumsum(sizes) + sizes, sizes)
+        found = g.indices[np.arange(sizes.sum()) + offsets]
+        by = np.repeat(frontier, sizes)
+        new = level[found] < 0
+        found, by = found[new], by[new]
+        first = np.sort(np.unique(found, return_index=True)[1])
+        frontier = found[first]
+        depth += 1
+        level[frontier] = depth
+        parent[frontier] = by[first]
+        levels.append(frontier)
 
-    order_arr = np.asarray(order, dtype=np.int64)
-    child_nodes = order_arr[1:].copy()
+    order = np.concatenate(levels)
+    child_nodes = order[1:].copy()
     edge_of_child = np.full(n, -1, dtype=np.int64)
     edge_of_child[child_nodes] = np.arange(len(child_nodes))
     return BfsTree(
         root=root,
         parent=parent,
         level=level,
-        order=order_arr,
+        order=order,
         child_nodes=child_nodes,
         parent_nodes=parent[child_nodes],
         edge_of_child=edge_of_child,
@@ -142,22 +134,6 @@ class RelevanceTable:
     up_neg: np.ndarray
     cum_pos: np.ndarray
     cum_neg: np.ndarray
-
-    def step(self, tree: BfsTree, a: int, b: int, sign: Sign) -> float:
-        """Single-hop relevance of neighbor b from node a for ``sign``.
-
-        The values over all (tree neighbor, sign) pairs of a sum to 1.
-        Raises ValueError when b is not tree-adjacent to a.
-        """
-        e = int(tree.edge_of_child[b])
-        if e >= 0 and tree.parent_nodes[e] == a:
-            pos, neg = self.down_pos[e], self.down_neg[e]
-        else:
-            e = int(tree.edge_of_child[a])
-            if e < 0 or tree.parent_nodes[e] != b:
-                raise ValueError(f"{b} is not a tree neighbor of {a}")
-            pos, neg = self.up_pos[e], self.up_neg[e]
-        return float(pos if sign is Sign.POSITIVE else neg)
 
     def directed(self) -> tuple[np.ndarray, np.ndarray]:
         """(p_pos, p_neg) per directed tree edge id, see
@@ -233,27 +209,6 @@ def propagate(table: RelevanceTable, tree: BfsTree) -> RelevanceTable:
         table.cum_pos[c] = table.cum_pos[p] * dp + table.cum_neg[p] * dn
         table.cum_neg[c] = table.cum_pos[p] * dn + table.cum_neg[p] * dp
     return table
-
-
-def modified_softmax(
-    table: RelevanceTable, tree: BfsTree, target: int, sign: Sign
-) -> float:
-    """Tree softmax value for (target, sign) with respect to the root.
-
-    Combines the cumulative root-to-target mass with the target's
-    step-back relevance toward its parent: the Positive outcome pairs like
-    signs, the Negative outcome pairs unlike signs.
-    """
-    if target == tree.root:
-        raise ValueError("target must differ from the root")
-    e = int(tree.edge_of_child[target])
-    if e < 0:
-        raise ValueError(f"node {target} is not covered by the tree")
-    cp, cn = table.cum_pos[target], table.cum_neg[target]
-    up, un = table.up_pos[e], table.up_neg[e]
-    if sign is Sign.POSITIVE:
-        return float(cp * up + cn * un)
-    return float(cp * un + cn * up)
 
 
 def tree_distribution(table: RelevanceTable, tree: BfsTree):

@@ -10,15 +10,43 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
 from sgembed import Sign, WalkBatch
 
 
+def queue_bfs(g, root, max_depth=None):
+    """(parent, level, order) of a FIFO-queue BFS that scans each node's
+    neighbors in ascending id, one Python step per node."""
+    adjacency = [[] for _ in range(g.node_count)]
+    for u, v, _ in g.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    parent = [-1] * g.node_count
+    level = [-1] * g.node_count
+    level[root] = 0
+    order = [root]
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        if max_depth is not None and level[u] >= max_depth:
+            continue
+        for w in sorted(adjacency[u]):
+            if level[w] < 0:
+                level[w] = level[u] + 1
+                parent[w] = u
+                order.append(w)
+                queue.append(w)
+    return parent, level, order
+
+
 def step_distribution(values, tree, node):
     """Single-hop relevance at ``node`` over (tree neighbor, sign) pairs."""
-    nbrs = tree.tree_neighbors(node)
+    nbrs = tree.child_nodes[tree.parent_nodes == node].tolist()
+    if tree.parent[node] >= 0:
+        nbrs.append(int(tree.parent[node]))
     weights = {}
     denom = 0.0
     for b in nbrs:
@@ -34,8 +62,8 @@ def root_path(tree, target):
     """Unique tree path from the root to ``target``."""
     path = [target]
     while path[-1] != tree.root:
-        parent = tree.parent_of(path[-1])
-        if parent is None:
+        parent = int(tree.parent[path[-1]])
+        if parent < 0:
             raise ValueError(f"{target} unreachable from root")
         path.append(parent)
     return list(reversed(path))
@@ -167,6 +195,20 @@ def expected_reward(values, tree, reward_fn):
     return total
 
 
+def dealt_folds(g, k_folds, rng):
+    """Stratified folds by list dealing: each sign's edge indices (in edge
+    order) are shuffled, then dealt round-robin; folds come back sorted."""
+    folds = [[] for _ in range(k_folds)]
+    for want in (Sign.POSITIVE, Sign.NEGATIVE):
+        idx = [i for i, (_, _, s) in enumerate(g.edges) if s is want]
+        if not idx:
+            continue
+        shuffled = rng.permutation(np.array(idx, dtype=np.int64)).tolist()
+        for f in range(k_folds):
+            folds[f].extend(shuffled[f::k_folds])
+    return [sorted(f) for f in folds]
+
+
 def hand_confusion(y_true, y_pred):
     """Plain-loop confusion counts: (n_pp, n_pn, n_np, n_nn)."""
     n_pp = n_pn = n_np = n_nn = 0
@@ -197,6 +239,23 @@ def hand_standard_micro_f1(y_true, y_pred):
     n_pp, n_pn, n_np, n_nn = hand_confusion(y_true, y_pred)
     total = n_pp + n_pn + n_np + n_nn
     return (n_pp + n_nn) / total if total else 0.0
+
+
+def loop_random_connected_graph(n, extra_edges, seed):
+    """(u, v, sign) triples of ``random_connected_graph``, drawing one
+    value at a time: a random spanning tree, extra random pairs, then a
+    sign per distinct pair in sorted order."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    pairs = set()
+    for i in range(1, n):
+        u, v = int(perm[i]), int(perm[rng.integers(i)])
+        pairs.add((min(u, v), max(u, v)))
+    for _ in range(extra_edges):
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return [(u, v, 1 if rng.random() < 0.5 else -1) for u, v in sorted(pairs)]
 
 
 def unbalanced_triangles(g):

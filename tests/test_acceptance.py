@@ -19,8 +19,6 @@ from sgembed import (
     EdgeFeatureMode,
     EdgeListSpec,
     EmbeddingMatrix,
-    LabeledEdge,
-    Origin,
     Sign,
     SignedGraph,
     TrainConfig,
@@ -33,7 +31,6 @@ from sgembed import (
     load_edge_list,
     logreg_predict_proba,
     logreg_train,
-    modified_softmax,
     random_connected_graph,
     relevance_table,
     sample_walk,
@@ -42,7 +39,7 @@ from sgembed import (
     train,
     tree_distribution,
 )
-from sgembed.discriminator import batch_gradient, objective
+from sgembed.discriminator import batch_gradient, edge_batch, objective
 from sgembed.generator import walk_logprob_gradient
 from oracles import (
     enumerate_walks,
@@ -150,12 +147,11 @@ def test_criterion_3_oracle_equivalence():
         roots = range(n) if n <= 10 else rng.choice(n, size=4, replace=False)
         for root in roots:
             tree = build_bfs_tree(g, int(root))
-            table = relevance_table(emb, tree)
-            for v in tree.order.tolist():
-                if v == tree.root:
-                    continue
-                for s in (P, N):
-                    ours = modified_softmax(table, tree, v, s)
+            nodes, p_pos, p_neg = tree_distribution(
+                relevance_table(emb, tree), tree
+            )
+            for v, ours_pos, ours_neg in zip(nodes.tolist(), p_pos, p_neg):
+                for s, ours in ((P, ours_pos), (N, ours_neg)):
                     naive = naive_modified_softmax(emb.values, tree, v, s)
                     max_dev = max(max_dev, abs(ours - naive))
                     checked += 1
@@ -174,6 +170,10 @@ def test_criterion_4_sampler_fidelity():
         table = relevance_table(emb, tree)
         rng = np.random.default_rng(99)
         batch = sample_walk(table, tree, rng, draws)
+        nodes, p_pos, p_neg = tree_distribution(table, tree)
+        softmax = {}
+        for v, pp, pn in zip(nodes.tolist(), p_pos, p_neg):
+            softmax[(v, P)], softmax[(v, N)] = pp, pn
         counts: dict = {}
         for v, sign in zip(batch.targets.tolist(), batch.signs.tolist()):
             key = (v, Sign(sign))
@@ -182,7 +182,7 @@ def test_criterion_4_sampler_fidelity():
             if v == tree.root:
                 continue
             for s in (P, N):
-                p = modified_softmax(table, tree, v, s)
+                p = softmax[(v, s)]
                 freq = counts.get((v, s), 0) / draws
                 sigma = math.sqrt(p * (1 - p) / draws)
                 if sigma > 0:
@@ -195,12 +195,9 @@ def test_criterion_5_gradient_correctness():
     t0 = time.perf_counter()
     # discriminator: closed-form batch gradient vs central differences
     emb = init_embeddings(4, 3, 17)
-    batch = [
-        LabeledEdge(0, 1, P, Origin.TRUE),
-        LabeledEdge(0, 2, N, Origin.TRUE),
-        LabeledEdge(1, 3, P, Origin.FAKE),
-        LabeledEdge(2, 3, N, Origin.FAKE),
-    ]
+    batch = edge_batch(
+        [0, 0, 1, 2], [1, 2, 3, 3], [P, N, P, N], [True, True, False, False]
+    )
     grad = batch_gradient(emb, batch)
     h = 1e-6
     fd = np.zeros_like(grad)

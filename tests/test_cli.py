@@ -146,7 +146,7 @@ def test_sweep_command(tmp_path, graph_file):
 
 def test_check_theorems_synthetic(capsys):
     rc = main([
-        "check-theorems", "--synthetic", "--graphs", "3", "--nodes", "30",
+        "check-theorems", "--graphs", "3", "--nodes", "30",
         "--extra-edges", "40", "--seed", "7",
     ])
     out = capsys.readouterr().out

@@ -8,21 +8,30 @@ import pytest
 from sgembed import (
     DivergenceError,
     EmbeddingMatrix,
-    LabeledEdge,
-    Origin,
     Sign,
     SignedGraph,
+    edge_batch,
     init_embeddings,
     sample_true_batch,
-    score,
 )
-from sgembed.discriminator import batch_gradient, objective, score_many, update
+from sgembed.discriminator import _sigmoid, batch_gradient, objective, update
 
 P, N = Sign.POSITIVE, Sign.NEGATIVE
 
 
 def embedding_from(rows):
     return EmbeddingMatrix(values=np.asarray(rows, dtype=float))
+
+
+def labeled(*edges):
+    """Edge batch from (u, v, sign, is_true) tuples."""
+    return edge_batch(*zip(*edges)) if edges else edge_batch([], [], [], [])
+
+
+def score(emb, u, v, sign):
+    """D's score of one edge: the objective of a one-edge true batch is
+    log sigma(sign * d_u . d_v)."""
+    return math.exp(objective(emb, labeled((u, v, sign, True))))
 
 
 class TestScore:
@@ -59,21 +68,29 @@ class TestScore:
             score(emb, 1, 1, P)
 
     def test_score_many_matches_scalar(self):
+        # sigma over a whole batch's z values equals each one-edge score
         emb = init_embeddings(8, 3, 2)
-        us = np.array([0, 1, 2])
-        vs = np.array([3, 4, 5])
-        signs = np.array([1.0, -1.0, 1.0])
-        many = score_many(emb, us, vs, signs)
-        for i in range(3):
-            assert many[i] == pytest.approx(
-                score(emb, int(us[i]), int(vs[i]), Sign(int(signs[i])))
-            )
+        batch = labeled((0, 3, 1, True), (1, 4, -1, True), (2, 5, 1, True))
+        z = batch["sign"] * np.einsum(
+            "ij,ij->i", emb.values[batch["u"]], emb.values[batch["v"]]
+        )
+        many = _sigmoid(z)
+        for i, (u, v, s, _) in enumerate(batch.tolist()):
+            assert many[i] == pytest.approx(score(emb, u, v, Sign(s)))
 
 
 class TestLabeledEdge:
     def test_rejects_self_edge(self):
         with pytest.raises(ValueError):
-            LabeledEdge(2, 2, P, Origin.TRUE)
+            labeled((2, 2, P, True))
+        with pytest.raises(ValueError):
+            edge_batch(2, [1, 2], 1, False)
+
+    def test_fields_and_broadcast(self):
+        batch = edge_batch(3, np.array([1, 5]), np.array([1, -1]), False)
+        assert len(batch) == 2
+        assert batch.tolist() == [(3, 1, 1, False), (3, 5, -1, False)]
+        assert batch["sign"].dtype == np.int8
 
 
 class TestSampleTrueBatch:
@@ -81,8 +98,8 @@ class TestSampleTrueBatch:
         g = SignedGraph.from_edges(3, [(0, 1, P), (0, 2, P)])
         batch = sample_true_batch(g, 0, 50, np.random.default_rng(0))
         assert len(batch) == 50
-        assert all(e.sign is P for e in batch)
-        assert all(e.origin is Origin.TRUE for e in batch)
+        assert (batch["sign"] == 1).all()
+        assert batch["true"].all()
 
     def test_balanced_draws_despite_imbalance(self):
         # 9 positive neighbors, 1 negative: fair coin gives 0.5 negative
@@ -90,7 +107,7 @@ class TestSampleTrueBatch:
         g = SignedGraph.from_edges(11, edges)
         draws = 10_000
         batch = sample_true_batch(g, 0, draws, np.random.default_rng(1))
-        frac_neg = sum(1 for e in batch if e.sign is N) / draws
+        frac_neg = int((batch["sign"] == -1).sum()) / draws
         sigma = math.sqrt(0.25 / draws)
         assert abs(frac_neg - 0.5) < 3 * sigma
 
@@ -98,7 +115,7 @@ class TestSampleTrueBatch:
         g = SignedGraph.from_edges(2, [(0, 1, P)])
         batch = sample_true_batch(g, 0, 25, np.random.default_rng(2))
         assert len(batch) == 25
-        assert all(e.v == 1 for e in batch)
+        assert (batch["v"] == 1).all()
 
     def test_isolated_center_rejected(self):
         g = SignedGraph.from_edges(3, [(1, 2, P)])
@@ -108,22 +125,45 @@ class TestSampleTrueBatch:
     def test_samples_are_real_neighbors_with_true_signs(self):
         g = SignedGraph.from_edges(4, [(0, 1, P), (0, 2, N), (0, 3, N)])
         batch = sample_true_batch(g, 0, 200, np.random.default_rng(3))
-        lookup = {v: s for v, s in g.adjacency[0]}
-        for e in batch:
-            assert e.u == 0
-            assert lookup[e.v] is e.sign
+        lookup = {v: s for _, v, s in g.edges}
+        for u, v, s, _ in batch.tolist():
+            assert u == 0
+            assert lookup[v] == s
+
+    @pytest.mark.parametrize("center", [0, 5])
+    def test_uniform_over_neighbors_within_each_sign(self, center):
+        # node 0: 3 positive and 2 negative neighbors; node 5 (neighbor of
+        # 0, 1 and 2) has positive neighbors only, so every draw falls back
+        edges = [(0, 1, P), (0, 2, N), (0, 3, P), (0, 4, N), (0, 5, P),
+                 (1, 5, P), (2, 5, P)]
+        g = SignedGraph.from_edges(6, edges)
+        draws = 200_000
+        batch = sample_true_batch(g, center, draws, np.random.default_rng(4))
+        lo, hi = g.indptr[center], g.indptr[center + 1]
+        nbrs, signs = g.indices[lo:hi], g.signs[lo:hi]
+        for sign in (1, -1):
+            pool = nbrs[signs == sign]
+            if not len(pool):
+                assert not (batch["sign"] == sign).any()
+                continue
+            share = 0.5 if len(pool) < len(nbrs) else 1.0
+            for v in pool.tolist():
+                hits = int(((batch["v"] == v) & (batch["sign"] == sign)).sum())
+                p = share / len(pool)
+                z = abs(hits / draws - p) / math.sqrt(p * (1 - p) / draws)
+                assert z <= 3.0, (v, sign, z)
 
 
 class TestUpdate:
     def test_zero_learning_rate_is_noop(self):
         emb = init_embeddings(4, 3, 0)
         before = emb.values.copy()
-        update(emb, [LabeledEdge(0, 1, P, Origin.TRUE)], 0.0)
+        update(emb, labeled((0, 1, P, True)), 0.0)
         assert np.array_equal(emb.values, before)
 
     def test_repeated_true_positive_edge_converges(self):
         emb = init_embeddings(2, 4, 5)
-        batch = [LabeledEdge(0, 1, P, Origin.TRUE)]
+        batch = labeled((0, 1, P, True))
         scores = [score(emb, 0, 1, P)]
         for _ in range(300):
             update(emb, batch, 0.5)
@@ -133,14 +173,10 @@ class TestUpdate:
 
     def test_fake_only_batch_decreases_mean_fake_score(self):
         emb = init_embeddings(6, 4, 7)
-        batch = [
-            LabeledEdge(0, 1, P, Origin.FAKE),
-            LabeledEdge(2, 3, N, Origin.FAKE),
-            LabeledEdge(4, 5, P, Origin.FAKE),
-        ]
+        batch = labeled((0, 1, P, False), (2, 3, N, False), (4, 5, P, False))
         def mean_score():
             return np.mean(
-                [score(emb, e.u, e.v, e.sign) for e in batch]
+                [score(emb, u, v, s) for u, v, s, _ in batch.tolist()]
             )
         before = mean_score()
         update(emb, batch, 0.2)
@@ -150,13 +186,13 @@ class TestUpdate:
     def test_gradient_matches_finite_differences(self, seed):
         emb = init_embeddings(4, 3, seed)
         rng = np.random.default_rng(seed)
-        batch = [
-            LabeledEdge(0, 1, P, Origin.TRUE),
-            LabeledEdge(0, 2, N, Origin.TRUE),
-            LabeledEdge(1, 3, P, Origin.FAKE),
-            LabeledEdge(2, 3, N, Origin.FAKE),
-            LabeledEdge(1, 2, N, Origin.FAKE),
-        ]
+        batch = labeled(
+            (0, 1, P, True),
+            (0, 2, N, True),
+            (1, 3, P, False),
+            (2, 3, N, False),
+            (1, 2, N, False),
+        )
         grad = batch_gradient(emb, batch)
         h = 1e-6
         fd = np.zeros_like(grad)
@@ -172,10 +208,7 @@ class TestUpdate:
 
     def test_ascent_increases_objective(self):
         emb = init_embeddings(5, 3, 1)
-        batch = [
-            LabeledEdge(0, 1, P, Origin.TRUE),
-            LabeledEdge(2, 3, N, Origin.FAKE),
-        ]
+        batch = labeled((0, 1, P, True), (2, 3, N, False))
         before = objective(emb, batch)
         update(emb, batch, 0.1)
         assert objective(emb, batch) > before
@@ -183,10 +216,10 @@ class TestUpdate:
     def test_empty_batch_rejected(self):
         emb = init_embeddings(3, 2, 0)
         with pytest.raises(ValueError):
-            update(emb, [], 0.1)
+            update(emb, labeled(), 0.1)
 
     def test_divergence_detected(self):
         emb = init_embeddings(3, 2, 0)
         emb.values[0, 0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
-            update(emb, [LabeledEdge(0, 1, P, Origin.TRUE)], 0.1)
+            update(emb, labeled((0, 1, P, True)), 0.1)

@@ -12,7 +12,7 @@ from sgembed import (
     SignedGraph,
     TrainConfig,
     balance_audit,
-    edge_features,
+    edge_feature_matrix,
     fold_metrics,
     kfold_link_prediction,
     logreg_predict_proba,
@@ -22,9 +22,7 @@ from sgembed import (
     stratified_edge_folds,
     synth_balanced,
 )
-from sgembed.evalkit import edge_feature_matrix
-
-from oracles import hand_paper_micro_f1, hand_standard_micro_f1
+from oracles import dealt_folds, hand_paper_micro_f1, hand_standard_micro_f1
 
 P, N = Sign.POSITIVE, Sign.NEGATIVE
 
@@ -44,60 +42,76 @@ def embedding_from(rows):
     return EmbeddingMatrix(values=np.asarray(rows, dtype=float))
 
 
+def edge_row(emb, u, v, mode):
+    """Feature vector of the single edge (u, v)."""
+    return edge_feature_matrix(emb, [u], [v], mode)[0]
+
+
 class TestEdgeFeatures:
     def setup_method(self):
         self.emb = embedding_from([[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]])
 
     def test_hadamard(self):
-        assert edge_features(self.emb, 0, 1, EdgeFeatureMode.HADAMARD).tolist() == [
+        assert edge_row(self.emb, 0, 1, EdgeFeatureMode.HADAMARD).tolist() == [
             3.0,
             8.0,
         ]
 
     def test_l1_of_identical_rows_is_zero(self):
         emb = embedding_from([[1.0, 2.0], [1.0, 2.0]])
-        assert edge_features(emb, 0, 1, EdgeFeatureMode.L1).tolist() == [0.0, 0.0]
+        assert edge_row(emb, 0, 1, EdgeFeatureMode.L1).tolist() == [0.0, 0.0]
 
     def test_l2_is_squared_difference(self):
-        assert edge_features(self.emb, 0, 1, EdgeFeatureMode.L2).tolist() == [
+        assert edge_row(self.emb, 0, 1, EdgeFeatureMode.L2).tolist() == [
             4.0,
             4.0,
         ]
 
     def test_average(self):
-        assert edge_features(self.emb, 0, 1, EdgeFeatureMode.AVERAGE).tolist() == [
+        assert edge_row(self.emb, 0, 1, EdgeFeatureMode.AVERAGE).tolist() == [
             2.0,
             3.0,
         ]
 
     def test_concat_orders_by_node_id(self):
         emb = embedding_from([[1.0, 0.0], [0.0, 1.0]])
-        forward = edge_features(emb, 0, 1, EdgeFeatureMode.CONCAT)
-        backward = edge_features(emb, 1, 0, EdgeFeatureMode.CONCAT)
+        forward = edge_row(emb, 0, 1, EdgeFeatureMode.CONCAT)
+        backward = edge_row(emb, 1, 0, EdgeFeatureMode.CONCAT)
         assert forward.tolist() == [1.0, 0.0, 0.0, 1.0]
         assert backward.tolist() == forward.tolist()
 
     def test_symmetry_of_all_modes(self):
         for mode in EdgeFeatureMode:
-            a = edge_features(self.emb, 0, 2, mode)
-            b = edge_features(self.emb, 2, 0, mode)
+            a = edge_row(self.emb, 0, 2, mode)
+            b = edge_row(self.emb, 2, 0, mode)
             assert np.array_equal(a, b), mode
 
     def test_dimensions(self):
         for mode in EdgeFeatureMode:
-            dim = len(edge_features(self.emb, 0, 1, mode))
+            dim = len(edge_row(self.emb, 0, 1, mode))
             assert dim == (4 if mode is EdgeFeatureMode.CONCAT else 2)
 
     def test_matrix_matches_scalar(self):
+        # rows of a many-edge call equal one-edge calls and the formulas
         pairs = [(0, 1), (2, 0), (1, 2)]
+        x, y = self.emb.values[[0, 0, 1]], self.emb.values[[1, 2, 2]]
+        expected = {
+            EdgeFeatureMode.L1: np.abs(x - y),
+            EdgeFeatureMode.L2: (x - y) ** 2,
+            EdgeFeatureMode.HADAMARD: x * y,
+            EdgeFeatureMode.AVERAGE: (x + y) / 2.0,
+            EdgeFeatureMode.CONCAT: np.concatenate([x, y], axis=1),
+        }
+        us, vs = zip(*pairs)
         for mode in EdgeFeatureMode:
-            mat = edge_feature_matrix(self.emb, pairs, mode)
+            mat = edge_feature_matrix(self.emb, us, vs, mode)
+            assert np.array_equal(mat, expected[mode])
             for row, (u, v) in zip(mat, pairs):
-                assert np.array_equal(row, edge_features(self.emb, u, v, mode))
+                assert np.array_equal(row, edge_row(self.emb, u, v, mode))
 
     def test_same_endpoint_rejected(self):
         with pytest.raises(ValueError):
-            edge_features(self.emb, 1, 1, EdgeFeatureMode.L1)
+            edge_row(self.emb, 1, 1, EdgeFeatureMode.L1)
 
     def test_mode_parsing(self):
         assert EdgeFeatureMode.from_string("Hadamard") is EdgeFeatureMode.HADAMARD
@@ -209,12 +223,26 @@ class TestStratifiedFolds:
     def test_sign_ratio_within_one_edge(self):
         g = random_connected_graph(40, 160, 7)
         folds = stratified_edge_folds(g, 5, np.random.default_rng(0))
-        signs = [s for _, _, s in g.edges]
-        pos_total = sum(1 for s in signs if s is P)
+        signs = g.edge_sign
+        pos_total = int((signs > 0).sum())
         for fold in folds:
-            pos_fold = sum(1 for i in fold if signs[i] is P)
+            pos_fold = int((signs[fold] > 0).sum())
             # round-robin deal keeps counts within 1 of the exact share
             assert abs(pos_fold - pos_total * len(fold) / g.edge_count) <= 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_list_dealing_oracle(self, seed):
+        # same stream, same folds; seed 3 has one sign only
+        g = random_connected_graph(30, 60, seed)
+        if seed == 3:
+            g = SignedGraph.from_edges(
+                g.node_count, [(u, v, N) for u, v, _ in g.edges]
+            )
+        for k in (2, 5):
+            folds = stratified_edge_folds(g, k, np.random.default_rng(seed))
+            expected = dealt_folds(g, k, np.random.default_rng(seed))
+            assert [f.tolist() for f in folds] == expected
+            assert all(f.dtype == np.int64 for f in folds)
 
     def test_at_least_two_folds(self):
         g = random_connected_graph(10, 10, 0)

@@ -13,11 +13,11 @@ from sgembed import (
     build_bfs_tree,
     generate_fakes,
     init_embeddings,
-    modified_softmax,
     policy_gradient_update,
     random_connected_graph,
     relevance_table,
     touched_nodes,
+    tree_distribution,
 )
 from sgembed.generator import walk_logprob_gradient
 
@@ -31,6 +31,19 @@ from oracles import (
 )
 
 P, N = Sign.POSITIVE, Sign.NEGATIVE
+
+
+def fakes_at(g, emb, center, count, seed):
+    """generate_fakes on center's BFS tree."""
+    tree = build_bfs_tree(g, center)
+    return generate_fakes(emb, tree, count, np.random.default_rng(seed))
+
+
+def softmax_at(emb, tree, target, sign):
+    """Tree-softmax value of (target, sign), read from tree_distribution."""
+    nodes, p_pos, p_neg = tree_distribution(relevance_table(emb, tree), tree)
+    (i,) = np.flatnonzero(nodes == target)
+    return float((p_pos if sign == 1 else p_neg)[i])
 
 
 class TestInitEmbeddings:
@@ -70,6 +83,13 @@ class TestEmbeddingIO:
         with pytest.raises(ValueError):
             EmbeddingMatrix.load(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_load_rejects_non_finite_rows(self, tmp_path, bad):
+        path = tmp_path / "bad.emb"
+        path.write_text(f"# comment\n2 2\n0 0.5 0.5\n1 0.25 {bad}\n")
+        with pytest.raises(ValueError, match=r"bad\.emb:4: non-finite"):
+            EmbeddingMatrix.load(path)
+
     def test_checksum_tracks_content(self):
         a = init_embeddings(5, 3, seed=0)
         b = a.copy()
@@ -82,8 +102,7 @@ class TestGenerateFakes:
     def test_count_and_fields(self):
         g = random_connected_graph(10, 14, 0)
         emb = init_embeddings(10, 4, 0)
-        rng = np.random.default_rng(0)
-        fakes = generate_fakes(g, emb, 3, 20, rng)
+        fakes = fakes_at(g, emb, 3, 20, 0)
         assert len(fakes) == 20
         assert fakes.tree.root == 3
         src, dst = fakes.tree.directed_edges()
@@ -95,14 +114,14 @@ class TestGenerateFakes:
     def test_two_node_graph_always_other_node(self):
         g = SignedGraph.from_edges(2, [(0, 1, P)])
         emb = init_embeddings(2, 3, 1)
-        fakes = generate_fakes(g, emb, 0, 50, np.random.default_rng(1))
+        fakes = fakes_at(g, emb, 0, 50, 1)
         assert (fakes.targets == 1).all()
 
     def test_isolated_center_warns_and_returns_empty(self, caplog):
         g = SignedGraph.from_edges(3, [(1, 2, P)])
         emb = init_embeddings(3, 2, 0)
         with caplog.at_level("WARNING"):
-            fakes = generate_fakes(g, emb, 0, 5, np.random.default_rng(0))
+            fakes = fakes_at(g, emb, 0, 5, 0)
         assert fakes is None
         assert "isolated" in caplog.text
 
@@ -110,8 +129,7 @@ class TestGenerateFakes:
         g = random_connected_graph(6, 7, 2)
         emb = init_embeddings(6, 3, 2)
         tree = build_bfs_tree(g, 0)
-        table = relevance_table(emb, tree)
-        fakes = generate_fakes(g, emb, 0, 100_000, np.random.default_rng(5))
+        fakes = fakes_at(g, emb, 0, 100_000, 5)
         counts: dict = {}
         for v, s in zip(fakes.targets.tolist(), fakes.signs.tolist()):
             counts[(v, Sign(s))] = counts.get((v, Sign(s)), 0) + 1
@@ -119,7 +137,7 @@ class TestGenerateFakes:
             if v == 0:
                 continue
             for sign in (P, N):
-                p = modified_softmax(table, tree, v, sign)
+                p = softmax_at(emb, tree, v, sign)
                 freq = counts.get((v, sign), 0) / len(fakes)
                 bound = 3 * math.sqrt(p * (1 - p) / len(fakes)) + 1e-4
                 assert abs(freq - p) < bound
@@ -130,7 +148,7 @@ class TestWalkGradient:
     def test_matches_finite_differences_of_logprob(self, seed):
         g = random_connected_graph(7, 9, seed)
         emb = init_embeddings(7, 3, seed)
-        fakes = generate_fakes(g, emb, 0, 1, np.random.default_rng(seed))
+        fakes = fakes_at(g, emb, 0, 1, seed)
         grad = np.zeros_like(emb.values)
         walk_logprob_gradient(emb, fakes, np.ones(1), grad)
 
@@ -179,7 +197,7 @@ class TestPolicyGradientUpdate:
     def test_zero_learning_rate_is_noop(self):
         g = random_connected_graph(6, 8, 1)
         emb = init_embeddings(6, 3, 1)
-        fakes = generate_fakes(g, emb, 0, 5, np.random.default_rng(0))
+        fakes = fakes_at(g, emb, 0, 5, 0)
         before = emb.values.copy()
         policy_gradient_update(emb, fakes, np.full(5, -1.0), 0.0)
         assert np.array_equal(emb.values, before)
@@ -187,14 +205,14 @@ class TestPolicyGradientUpdate:
     def test_non_finite_reward_rejected(self):
         g = random_connected_graph(5, 6, 2)
         emb = init_embeddings(5, 3, 2)
-        fakes = generate_fakes(g, emb, 0, 1, np.random.default_rng(0))
+        fakes = fakes_at(g, emb, 0, 1, 0)
         with pytest.raises(ValueError, match="reward"):
             policy_gradient_update(emb, fakes, np.array([np.nan]), 0.1)
 
     def test_update_touches_only_walk_neighborhoods(self):
         g = random_connected_graph(20, 25, 3)
         emb = init_embeddings(20, 4, 3)
-        fakes = generate_fakes(g, emb, 5, 3, np.random.default_rng(1))
+        fakes = fakes_at(g, emb, 5, 3, 1)
         touched = set()
         for target in fakes.targets.tolist():
             walk_nodes = root_path(fakes.tree, target)
@@ -260,16 +278,14 @@ class TestPolicyGradientUpdate:
         g = SignedGraph.from_edges(3, [(0, 1, P), (0, 2, N)])
         emb = init_embeddings(3, 4, 9)
         tree = build_bfs_tree(g, 0)
-        table = relevance_table(emb, tree)
         target, sign = 1, P
-        p_before = modified_softmax(table, tree, target, sign)
+        p_before = softmax_at(emb, tree, target, sign)
 
         reward_fn = lambda v, s: -20.0 if (v, Sign(s)) == (target, sign) else 0.0
         batch, rewards = self._exact_update_batch(emb, tree, reward_fn)
         policy_gradient_update(emb, batch, rewards, 0.1)
 
-        table_after = relevance_table(emb, build_bfs_tree(g, 0))
-        p_after = modified_softmax(table_after, tree, target, sign)
+        p_after = softmax_at(emb, build_bfs_tree(g, 0), target, sign)
         assert p_after > p_before
 
     def test_zero_reward_amid_negative_lowers_outcome_probability(self):
@@ -277,22 +293,20 @@ class TestPolicyGradientUpdate:
         g = SignedGraph.from_edges(3, [(0, 1, P), (0, 2, N)])
         emb = init_embeddings(3, 4, 9)
         tree = build_bfs_tree(g, 0)
-        table = relevance_table(emb, tree)
         target, sign = 1, P
-        p_before = modified_softmax(table, tree, target, sign)
+        p_before = softmax_at(emb, tree, target, sign)
 
         reward_fn = lambda v, s: 0.0 if (v, Sign(s)) == (target, sign) else -20.0
         batch, rewards = self._exact_update_batch(emb, tree, reward_fn)
         policy_gradient_update(emb, batch, rewards, 0.1)
 
-        table_after = relevance_table(emb, build_bfs_tree(g, 0))
-        p_after = modified_softmax(table_after, tree, target, sign)
+        p_after = softmax_at(emb, build_bfs_tree(g, 0), target, sign)
         assert p_after < p_before
 
     def test_divergence_detected(self):
         g = random_connected_graph(5, 6, 0)
         emb = init_embeddings(5, 3, 0)
-        fakes = generate_fakes(g, emb, 0, 2, np.random.default_rng(0))
+        fakes = fakes_at(g, emb, 0, 2, 0)
         emb.values[0, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(
             (DivergenceError, ValueError)

@@ -1,6 +1,9 @@
 """Tests for the signed-graph data model and ingestion."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgembed import (
     EdgeListError,
@@ -15,7 +18,33 @@ from sgembed import (
     top_degree_subgraph,
 )
 
-from oracles import unbalanced_triangles
+from oracles import loop_random_connected_graph, unbalanced_triangles
+
+
+def csr(g):
+    return g.indptr.tolist(), g.indices.tolist(), g.signs.tolist()
+
+
+def set_oracle(node_count, edges):
+    """from_edges by plain Python sets: the canonical edge list and each
+    node's sorted (neighbor, sign) list, or the ValueError message prefix
+    of the first bad edge."""
+    seen = set()
+    canonical = []
+    nbrs = [[] for _ in range(node_count)]
+    for u, v, s in edges:
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            return f"edge ({u},{v}) outside"
+        if u == v:
+            return f"self-loop at node {u}"
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            return f"duplicate edge for pair {pair}"
+        seen.add(pair)
+        canonical.append((*pair, s))
+        nbrs[u].append((v, s))
+        nbrs[v].append((u, s))
+    return canonical, [sorted(x) for x in nbrs]
 
 
 class TestSign:
@@ -61,15 +90,84 @@ class TestSignedGraph:
     def test_adjacency_symmetry_exhaustive(self):
         for seed in range(5):
             g = random_connected_graph(30, 60, seed)
+            p, idx, sg = csr(g)
             for u in range(g.node_count):
-                for v, s in g.adjacency[u]:
-                    assert (u, s) in [(w, t) for w, t in g.adjacency[v]]
+                for v, s in zip(idx[p[u] : p[u + 1]], sg[p[u] : p[u + 1]]):
+                    back = zip(idx[p[v] : p[v + 1]], sg[p[v] : p[v + 1]])
+                    assert (u, s) in list(back)
+            assert len(idx) == 2 * g.edge_count
 
     def test_adjacency_sorted_by_neighbor(self):
         g = random_connected_graph(25, 40, 3)
+        p, idx, _ = csr(g)
         for u in range(g.node_count):
-            ids = [v for v, _ in g.adjacency[u]]
+            ids = idx[p[u] : p[u + 1]]
             assert ids == sorted(ids)
+            assert g.degree(u) == p[u + 1] - p[u]
+        assert np.array_equal(
+            np.diff(g.indptr), [g.degree(u) for u in range(g.node_count)]
+        )
+
+    def test_arrays_are_read_only_and_in_input_order(self):
+        g = SignedGraph.from_edges(4, [(3, 1, Sign.NEGATIVE), (0, 2, Sign.POSITIVE)])
+        assert g.edge_u.tolist() == [1, 0]
+        assert g.edge_v.tolist() == [3, 2]
+        assert g.edge_sign.tolist() == [-1, 1]
+        assert g.edge_sign.dtype == np.int8 and g.signs.dtype == np.int8
+        for a in (g.edge_u, g.edge_v, g.edge_sign, g.indptr, g.indices, g.signs):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_array_input_matches_tuple_input(self):
+        triples = [(0, 3, Sign.POSITIVE), (2, 1, Sign.NEGATIVE), (1, 3, Sign.POSITIVE)]
+        a = SignedGraph.from_edges(4, triples)
+        b = SignedGraph.from_edges(4, np.array([[0, 3, 1], [2, 1, -1], [1, 3, 1]]))
+        assert a.edges == b.edges
+        assert csr(a) == csr(b)
+        assert SignedGraph.from_edges(4, a.edge_triples()).edges == a.edges
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1, 1), (2, 2, 1), (0, 9, 1)], "self-loop at node 2"),
+            ([(0, 1, 1), (0, 9, 1), (2, 2, 1)], r"edge \(0,9\) outside"),
+            ([(0, 1, 1), (1, 0, -1), (3, 3, 1)], r"duplicate edge for pair \(0, 1\)"),
+            ([(0, 1, 1), (1, 2, 0)], r"edge \(1,2\) has sign 0"),
+        ],
+    )
+    def test_errors_name_the_first_offending_edge(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            SignedGraph.from_edges(4, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 8).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(
+                        st.integers(-1, n), st.integers(-1, n), st.sampled_from(Sign)
+                    ),
+                    max_size=20,
+                ),
+            )
+        )
+    )
+    def test_from_edges_agrees_with_set_oracle(self, case):
+        node_count, edges = case
+        expected = set_oracle(node_count, edges)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as exc:
+                SignedGraph.from_edges(node_count, edges)
+            assert str(exc.value).startswith(expected)
+            return
+        canonical, nbrs = expected
+        g = SignedGraph.from_edges(node_count, edges)
+        assert g.edges == tuple(canonical)
+        p, idx, sg = csr(g)
+        assert len(p) == node_count + 1
+        for u in range(node_count):
+            assert list(zip(idx[p[u] : p[u + 1]], sg[p[u] : p[u + 1]])) == nbrs[u]
 
 
 class TestLoadEdgeList:
@@ -152,6 +250,20 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListError, match="empty"):
             load_edge_list(EdgeListSpec(path=p))
 
+    @pytest.mark.parametrize(
+        "text, threshold",
+        [
+            ("0 1 1\n1 2 nan\n", None),  # sign column
+            ("0 1 1\n1 2 -inf\n", None),
+            ("0 1 4\n1 2 nan\n", 1.0),  # rating column under a threshold
+        ],
+    )
+    def test_non_finite_value_reports_line(self, tmp_path, text, threshold):
+        p = tmp_path / "g.edges"
+        p.write_text(text)
+        with pytest.raises(EdgeListError, match=r"g\.edges:2: non-finite"):
+            load_edge_list(EdgeListSpec(path=p, rating_threshold=threshold))
+
     def test_comments_ignored(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("# header\n0 1 1\n")
@@ -168,7 +280,7 @@ class TestRoundTrip:
         g2, _ = load_edge_list(EdgeListSpec(path=p))
         assert g2.node_count == g.node_count
         assert g2.edges == g.edges
-        assert g2.adjacency == g.adjacency
+        assert csr(g2) == csr(g)
 
     def test_isolated_nodes_survive(self, tmp_path):
         g = SignedGraph.from_edges(5, [(1, 3, Sign.NEGATIVE)])
@@ -184,7 +296,7 @@ class TestTopDegreeSubgraph:
         g = random_connected_graph(15, 20, 0)
         sub = top_degree_subgraph(g, g.node_count)
         assert sub.edges == g.edges
-        assert sub.adjacency == g.adjacency
+        assert csr(sub) == csr(g)
 
     def test_star_graph_selection(self):
         edges = [(0, leaf, Sign.POSITIVE) for leaf in range(1, 6)]
@@ -280,6 +392,12 @@ class TestSynthBalanced:
 
 
 class TestRandomConnectedGraph:
+    @pytest.mark.parametrize("n, extra", [(1, 3), (2, 0), (12, 5), (40, 200)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_one_draw_at_a_time_oracle(self, n, extra, seed):
+        g = random_connected_graph(n, extra, seed)
+        assert g.edges == tuple(loop_random_connected_graph(n, extra, seed))
+
     @pytest.mark.parametrize("seed", range(3))
     def test_connectivity(self, seed):
         g = random_connected_graph(30, 10, seed)
@@ -287,7 +405,7 @@ class TestRandomConnectedGraph:
         stack = [0]
         while stack:
             u = stack.pop()
-            for v, _ in g.adjacency[u]:
+            for v in g.indices[g.indptr[u] : g.indptr[u + 1]].tolist():
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)

@@ -1,6 +1,7 @@
 """Tests for the adversarial training loop, config, and checkpointing."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,15 +16,21 @@ from sgembed import (
     checkpoint,
     random_connected_graph,
     relevance_table,
+    edge_batch,
     resume,
-    score,
     synth_balanced,
     train,
 )
+from sgembed.discriminator import objective
 from sgembed.generator import init_embeddings
 from sgembed.trainer import TrainState
 
 P, N = Sign.POSITIVE, Sign.NEGATIVE
+
+
+def score(emb, u, v, sign):
+    """D's score sigma(sign * d_u . d_v), as exp of a one-edge objective."""
+    return math.exp(objective(emb, edge_batch([u], [v], [sign], [True])))
 
 SMALL = TrainConfig(
     embedding_dim=4,
@@ -232,6 +239,39 @@ class TestCheckpoint:
         assert theta_j_res.values.tobytes() == theta_j_full.values.tobytes()
         assert theta_d_res.values.tobytes() == theta_d_full.values.tobytes()
 
+    def test_resume_refuses_another_graph(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        train(random_connected_graph(30, 40, 0), SMALL, checkpoint_path=path)
+        state = resume(path)
+        for other in (
+            random_connected_graph(20, 30, 0),  # fewer nodes
+            random_connected_graph(30, 40, 1),  # same nodes, other edges
+        ):
+            with pytest.raises(ValueError, match="graph"):
+                train(other, SMALL, resume_from=state)
+
+    def test_resume_accepts_reordered_edges(self, tmp_path):
+        g = random_connected_graph(8, 12, 3)
+        path = tmp_path / "a.ckpt"
+        train(g, SMALL, checkpoint_path=path)
+        shuffled = SignedGraph.from_edges(8, g.edge_triples()[::-1])
+        train(shuffled, dataclasses.replace(SMALL, outer_epochs=3),
+              resume_from=resume(path))
+
+    def test_version_one_checkpoint_refused(self, tmp_path):
+        import hashlib
+        import struct
+
+        path = tmp_path / "a.ckpt"
+        train(random_connected_graph(6, 8, 0), SMALL, checkpoint_path=path)
+        payload = bytearray(path.read_bytes()[:-8])
+        struct.pack_into("<H", payload, 8, 1)
+        path.write_bytes(
+            bytes(payload) + hashlib.blake2b(payload, digest_size=8).digest()
+        )
+        with pytest.raises(CheckpointError, match="version 1"):
+            resume(path)
+
     def test_resume_config_must_match(self, tmp_path):
         g = random_connected_graph(6, 8, 0)
         path = tmp_path / "a.ckpt"
@@ -277,6 +317,7 @@ class TestCheckpoint:
             theta_j=state.theta_j,
             theta_d=state.theta_d,
             rng_state=state.rng_state,
+            graph_fingerprint=state.graph_fingerprint,
         )
         poisoned.theta_d.values[0, 0] = np.nan
         out = tmp_path / "abort.ckpt"

@@ -12,7 +12,6 @@ from sgembed import (
     SignedGraph,
     build_bfs_tree,
     init_embeddings,
-    modified_softmax,
     propagate,
     random_connected_graph,
     relevance_table,
@@ -25,6 +24,7 @@ from oracles import (
     batch_walks,
     enumerate_walks,
     naive_modified_softmax,
+    queue_bfs,
     root_path,
     step_distribution,
     walk_hops,
@@ -44,6 +44,31 @@ def embedding_from(rows):
     return EmbeddingMatrix(values=np.asarray(rows, dtype=float))
 
 
+def softmax_at(table, tree, target, sign):
+    """Tree-softmax value of (target, sign), read from tree_distribution."""
+    nodes, p_pos, p_neg = tree_distribution(table, tree)
+    (i,) = np.flatnonzero(nodes == target)
+    return float((p_pos if sign == 1 else p_neg)[i])
+
+
+def step_prob(table, tree, a, b, sign):
+    """Single-hop relevance of tree neighbor b from a, read from the
+    table's directed-edge arrays."""
+    src, dst = tree.directed_edges()
+    (e,) = np.flatnonzero((src == a) & (dst == b))
+    pos, neg = table.directed()
+    return float((pos if sign == 1 else neg)[e])
+
+
+def tree_neighbors(tree, a):
+    src, dst = tree.directed_edges()
+    return dst[src == a].tolist()
+
+
+def covered(tree):
+    return set(tree.order.tolist())
+
+
 def to_networkx(g):
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.node_count))
@@ -57,13 +82,13 @@ class TestBfsTree:
         assert tree.level[0] == 0
         assert tree.level[1] == 1
         assert tree.level[2] == 2
-        assert tree.parent_of(2) == 1
-        assert tree.parent_of(0) is None
+        assert tree.parent[2] == 1
+        assert tree.parent[0] == -1
 
     def test_isolated_root(self):
         g = SignedGraph.from_edges(3, [(1, 2, P)])
         tree = build_bfs_tree(g, 0)
-        assert tree.covered == {0}
+        assert covered(tree) == {0}
         assert tree.covered_count == 1
 
     @pytest.mark.parametrize("seed", range(4))
@@ -79,8 +104,8 @@ class TestBfsTree:
         g = random_connected_graph(25, 30, 7)
         tree = build_bfs_tree(g, 3)
         for v in tree.order.tolist():
-            for c in tree.children_of(v):
-                assert tree.parent_of(c) == v
+            for c in tree.child_nodes[tree.parent_nodes == v].tolist():
+                assert tree.parent[c] == v
                 assert tree.level[c] == tree.level[v] + 1
 
     def test_every_covered_non_root_has_one_parent(self):
@@ -88,23 +113,46 @@ class TestBfsTree:
         tree = build_bfs_tree(g, 0)
         for v in tree.order.tolist():
             if v != tree.root:
-                assert tree.parent_of(v) is not None
+                assert tree.parent[v] >= 0
 
     def test_covered_restricted_to_component(self):
         g = SignedGraph.from_edges(5, [(0, 1, P), (2, 3, N), (3, 4, P)])
         tree = build_bfs_tree(g, 2)
-        assert tree.covered == {2, 3, 4}
+        assert covered(tree) == {2, 3, 4}
 
     def test_max_depth_truncates(self):
         tree = build_bfs_tree(path_graph(6), 0, max_depth=2)
-        assert tree.covered == {0, 1, 2}
+        assert covered(tree) == {0, 1, 2}
         assert tree.depth == 2
 
     def test_deterministic_ascending_exploration(self):
         g = SignedGraph.from_edges(4, [(0, 2, P), (0, 1, P), (1, 3, P), (2, 3, N)])
         tree = build_bfs_tree(g, 0)
         # node 3 reachable via 1 or 2; ascending order explores 1 first
-        assert tree.parent_of(3) == 1
+        assert tree.parent[3] == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_depth", [None, 1, 2, 3])
+    def test_matches_queue_bfs_oracle(self, seed, max_depth):
+        # several components plus isolated nodes: 3 random graphs side by
+        # side, then 4 nodes with no edges
+        rng = np.random.default_rng(seed)
+        edges, offset = [], 0
+        for size in rng.integers(1, 15, size=3).tolist():
+            part = random_connected_graph(size, 2 * size, int(rng.integers(1000)))
+            edges += [(u + offset, v + offset, s) for u, v, s in part.edges]
+            offset += size
+        n = offset + 4
+        perm = rng.permutation(n)  # spread the components over the id range
+        g = SignedGraph.from_edges(
+            n, [(int(perm[u]), int(perm[v]), s) for u, v, s in edges]
+        )
+        for root in range(n):
+            tree = build_bfs_tree(g, root, max_depth)
+            parent, level, order = queue_bfs(g, root, max_depth)
+            assert tree.parent.tolist() == parent
+            assert tree.level.tolist() == level
+            assert tree.order.tolist() == order
 
 
 class TestRelevance:
@@ -113,16 +161,16 @@ class TestRelevance:
         emb = embedding_from([[1.0, 0.0], [0.0, 1.0]])
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
-        assert table.step(tree, 0, 1, P) == pytest.approx(0.5)
-        assert table.step(tree, 0, 1, N) == pytest.approx(0.5)
+        assert step_prob(table, tree, 0, 1, P) == pytest.approx(0.5)
+        assert step_prob(table, tree, 0, 1, N) == pytest.approx(0.5)
 
     def test_single_neighbor_log3_dot(self):
         g = path_graph(2)
         emb = embedding_from([[math.log(3.0)], [1.0]])
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
-        assert table.step(tree, 0, 1, P) == pytest.approx(0.9)
-        assert table.step(tree, 0, 1, N) == pytest.approx(0.1)
+        assert step_prob(table, tree, 0, 1, P) == pytest.approx(0.9)
+        assert step_prob(table, tree, 0, 1, N) == pytest.approx(0.1)
 
     def test_two_orthogonal_neighbors_quarter_each(self):
         g = SignedGraph.from_edges(3, [(0, 1, P), (0, 2, N)])
@@ -131,13 +179,15 @@ class TestRelevance:
         table = relevance_table(emb, tree)
         for b in (1, 2):
             for s in (P, N):
-                assert table.step(tree, 0, b, s) == pytest.approx(0.25)
+                assert step_prob(table, tree, 0, b, s) == pytest.approx(0.25)
 
     def test_not_tree_adjacent_raises(self):
         tree = build_bfs_tree(path_graph(3), 0)
         table = relevance_table(init_embeddings(3, 2, 0), tree)
-        with pytest.raises(ValueError, match="tree neighbor"):
-            table.step(tree, 0, 2, P)
+        # 0 and 2 are not tree-adjacent: no directed tree edge joins them
+        src, dst = tree.directed_edges()
+        assert not ((src == 0) & (dst == 2)).any()
+        assert tree_neighbors(tree, 0) == [1]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_per_node_mass_sums_to_one(self, seed):
@@ -147,8 +197,8 @@ class TestRelevance:
         table = relevance_table(emb, tree)
         for a in tree.order.tolist():
             total = sum(
-                table.step(tree, a, b, s)
-                for b in tree.tree_neighbors(a)
+                step_prob(table, tree, a, b, s)
+                for b in tree_neighbors(tree, a)
                 for s in (P, N)
             )
             assert total == pytest.approx(1.0, abs=1e-9)
@@ -160,9 +210,9 @@ class TestRelevance:
         table = relevance_table(emb, tree)
         for a in tree.order.tolist():
             oracle = step_distribution(emb.values, tree, a)
-            for b in tree.tree_neighbors(a):
+            for b in tree_neighbors(tree, a):
                 for s in (P, N):
-                    assert table.step(tree, a, b, s) == pytest.approx(
+                    assert step_prob(table, tree, a, b, s) == pytest.approx(
                         oracle[(b, s.value)], abs=1e-12
                     )
 
@@ -171,8 +221,8 @@ class TestRelevance:
         emb = embedding_from([[900.0], [1.0]])
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
-        assert table.step(tree, 0, 1, P) == pytest.approx(1.0)
-        assert table.step(tree, 0, 1, N) == pytest.approx(0.0, abs=1e-300)
+        assert step_prob(table, tree, 0, 1, P) == pytest.approx(1.0)
+        assert step_prob(table, tree, 0, 1, N) == pytest.approx(0.0, abs=1e-300)
         assert np.isfinite(table.down_pos).all()
 
 
@@ -206,7 +256,7 @@ class TestPropagate:
         emb = init_embeddings(10, 3, 1)
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
-        for c in tree.children_of(0):
+        for c in tree.child_nodes[tree.parent_nodes == 0].tolist():
             e = int(tree.edge_of_child[c])
             assert table.cum_pos[c] == pytest.approx(table.down_pos[e])
             assert table.cum_neg[c] == pytest.approx(table.down_neg[e])
@@ -274,7 +324,7 @@ class TestModifiedSoftmax:
             tree = build_bfs_tree(g, root)
             table = relevance_table(emb, tree)
             total = sum(
-                modified_softmax(table, tree, v, s)
+                softmax_at(table, tree, v, s)
                 for v in tree.order.tolist()
                 if v != root
                 for s in (P, N)
@@ -292,7 +342,7 @@ class TestModifiedSoftmax:
                 table.cum_pos[leaf] * table.up_pos[e]
                 + table.cum_neg[leaf] * table.up_neg[e]
             )
-            assert modified_softmax(table, tree, leaf, P) == pytest.approx(
+            assert softmax_at(table, tree, leaf, P) == pytest.approx(
                 expected_pos
             )
 
@@ -307,7 +357,7 @@ class TestModifiedSoftmax:
             if v == tree.root:
                 continue
             for s in (P, N):
-                ours = modified_softmax(table, tree, v, s)
+                ours = softmax_at(table, tree, v, s)
                 naive = naive_modified_softmax(emb.values, tree, v, s)
                 assert abs(ours - naive) < 1e-12
 
@@ -316,10 +366,9 @@ class TestModifiedSoftmax:
         emb = init_embeddings(4, 2, 0)
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
-        with pytest.raises(ValueError):
-            modified_softmax(table, tree, 0, P)
-        with pytest.raises(ValueError):
-            modified_softmax(table, tree, 3, P)
+        # neither the root nor an uncovered node is an outcome
+        nodes, _, _ = tree_distribution(table, tree)
+        assert nodes.tolist() == [1]
 
     def test_tree_distribution_agrees_with_scalar_op(self):
         g = random_connected_graph(15, 25, 9)
@@ -328,8 +377,8 @@ class TestModifiedSoftmax:
         table = relevance_table(emb, tree)
         nodes, p_pos, p_neg = tree_distribution(table, tree)
         for i, v in enumerate(nodes.tolist()):
-            assert p_pos[i] == pytest.approx(modified_softmax(table, tree, v, P))
-            assert p_neg[i] == pytest.approx(modified_softmax(table, tree, v, N))
+            assert p_pos[i] == pytest.approx(softmax_at(table, tree, v, P))
+            assert p_neg[i] == pytest.approx(softmax_at(table, tree, v, N))
 
     def test_degenerate_parity_chain(self):
         # per-hop distributions put probability 1 on a Negative step; the
@@ -342,10 +391,10 @@ class TestModifiedSoftmax:
         table.up_neg[:] = 1.0
         propagate(table, tree)
         # depth 1: one hop + back-step = 2 negatives -> Positive
-        assert modified_softmax(table, tree, 1, P) == pytest.approx(1.0)
+        assert softmax_at(table, tree, 1, P) == pytest.approx(1.0)
         # depth 2: 3 negatives -> Negative ("enemy of my enemy" + back-step)
-        assert modified_softmax(table, tree, 2, N) == pytest.approx(1.0)
-        assert modified_softmax(table, tree, 3, P) == pytest.approx(1.0)
+        assert softmax_at(table, tree, 2, N) == pytest.approx(1.0)
+        assert softmax_at(table, tree, 3, P) == pytest.approx(1.0)
 
     def test_normalization_on_disconnected_graph_covers_component(self):
         g = SignedGraph.from_edges(
@@ -353,7 +402,7 @@ class TestModifiedSoftmax:
         )
         emb = init_embeddings(7, 3, 2)
         tree = build_bfs_tree(g, 0)
-        assert tree.covered == {0, 1, 2, 3}
+        assert covered(tree) == {0, 1, 2, 3}
         _, p_pos, p_neg = tree_distribution(relevance_table(emb, tree), tree)
         assert p_pos.sum() + p_neg.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -399,9 +448,9 @@ class TestSampler:
         emb = embedding_from([[0.8], [1.1]])
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
-        p = table.step(tree, 0, 1, P)
+        p = step_prob(table, tree, 0, 1, P)
         expected_pos = p * p + (1 - p) * (1 - p)
-        assert modified_softmax(table, tree, 1, P) == pytest.approx(expected_pos)
+        assert softmax_at(table, tree, 1, P) == pytest.approx(expected_pos)
         rng = np.random.default_rng(0)
         draws = 200_000
         batch = sample_walk(table, tree, rng, draws)
@@ -469,7 +518,7 @@ class TestSampler:
             if v == tree.root:
                 continue
             for s in (P, N):
-                p = modified_softmax(table, tree, v, s)
+                p = softmax_at(table, tree, v, s)
                 freq = counts.get((v, s), 0) / draws
                 bound = 3 * math.sqrt(p * (1 - p) / draws) + 1e-4
                 assert abs(freq - p) < bound
