@@ -77,16 +77,20 @@ def objective(emb: EmbeddingMatrix, batch: np.ndarray) -> float:
     return float(terms.mean())
 
 
-def batch_gradient(emb: EmbeddingMatrix, batch: np.ndarray) -> np.ndarray:
-    """Closed-form gradient of ``objective`` with respect to the table."""
+def batch_gradient(emb: EmbeddingMatrix, batch: np.ndarray) -> tuple:
+    """Closed-form gradient of ``objective`` as ``(rows, grad)``: grad[i]
+    is row rows[i]'s, and every other row's gradient is zero."""
     us, vs, signs = batch["u"], batch["v"], batch["sign"]
-    z = signs * np.einsum("ij,ij->i", emb.values[us], emb.values[vs])
+    rows = np.unique(np.concatenate([us, vs]))
+    iu, iv = np.searchsorted(rows, us), np.searchsorted(rows, vs)
+    values = emb.values[rows]
+    z = signs * np.einsum("ij,ij->i", values[iu], values[iv])
     s = _sigmoid(z)
     coef = np.where(batch["true"], 1.0 - s, -s) * signs / len(batch)
-    grad = np.zeros_like(emb.values)
-    np.add.at(grad, us, coef[:, None] * emb.values[vs])
-    np.add.at(grad, vs, coef[:, None] * emb.values[us])
-    return grad
+    grad = np.zeros_like(values)
+    np.add.at(grad, iu, coef[:, None] * values[iv])
+    np.add.at(grad, iv, coef[:, None] * values[iu])
+    return rows, grad
 
 
 @dataclass
@@ -99,15 +103,16 @@ class DiscriminatorUpdateReport:
 def update(
     emb: EmbeddingMatrix, batch: np.ndarray, learning_rate: float
 ) -> DiscriminatorUpdateReport:
-    """One gradient-ascent step on the mean batch objective."""
+    """One gradient-ascent step on the mean batch objective; only the
+    batch's endpoint rows are read, written and checked for finiteness."""
     if not len(batch):
         raise ValueError("batch must be nonempty")
     value = objective(emb, batch)
-    grad = batch_gradient(emb, batch)
+    rows, grad = batch_gradient(emb, batch)
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite discriminator gradient")
-    emb.values += learning_rate * grad
-    if not np.isfinite(emb.values).all():
+    emb.values[rows] += learning_rate * grad
+    if not np.isfinite(emb.values[rows]).all():
         raise DivergenceError("discriminator update left non-finite embeddings")
     return DiscriminatorUpdateReport(
         objective=value,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,6 +82,13 @@ class EmbeddingMatrix:
             raise ValueError(
                 f"{path}: header declares {rows} rows, found {len(lines) - 1}"
             )
+        # the save format (rows in id order) in one C parse, to the same
+        # doubles as float(); anything else goes line by line below
+        with suppress(ValueError):
+            table = np.loadtxt([ln for _, ln in lines[1:]], ndmin=2, comments=None)
+            ok = table.shape == (rows, dim + 1) and np.isfinite(table).all()
+            if ok and np.array_equal(table[:, 0], np.arange(rows)):
+                return cls(values=table[:, 1:])
         values = np.zeros((rows, dim))
         seen = np.zeros(rows, dtype=bool)
         for lineno, ln in lines[1:]:
@@ -106,20 +114,21 @@ def init_embeddings(node_count: int, dim: int, seed) -> EmbeddingMatrix:
 
 
 def generate_fakes(
-    emb: EmbeddingMatrix, tree: BfsTree, count: int, rng: np.random.Generator
+    emb: EmbeddingMatrix, tree: BfsTree, count: int, rng: np.random.Generator,
+    dots: np.ndarray | None = None,
 ) -> WalkBatch | None:
     """Draw ``count`` fake signed neighbors of the tree's root as one batch.
 
-    Builds the relevance table once and samples every walk from it. A tree
-    that covers only its root (an isolated center) yields None with a
-    logged warning.
+    Builds the relevance table once (from ``dots`` if given, see
+    ``relevance_table``) and samples every walk from it. A tree that covers
+    only its root (an isolated center) yields None with a logged warning.
     """
     if count <= 0:
         raise ValueError("count must be positive")
     if tree.covered_count < 2:
         logger.warning("center %d is isolated; no fakes generated", tree.root)
         return None
-    return sample_walk(relevance_table(emb, tree), tree, rng, count)
+    return sample_walk(relevance_table(emb, tree, dots), tree, rng, count)
 
 
 @dataclass
@@ -133,9 +142,14 @@ def walk_logprob_gradient(
     emb: EmbeddingMatrix,
     batch: WalkBatch,
     rewards: np.ndarray,
+    rows: np.ndarray,
     out: np.ndarray,
+    edges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
-    """Accumulate sum_i rewards[i] * d log P(walk i) / d theta into ``out``.
+    """Accumulate sum_i rewards[i] * d log P(walk i) / d theta into ``out``,
+    a C-contiguous block whose row r holds node rows[r]; ``rows`` is sorted
+    and covers every node the gradient touches (see ``touched_nodes``).
+    ``edges`` may pass in the tree's ``directed_edges()``.
 
     A walk's log-probability is the sum of per-hop softmax
     log-probabilities; each hop at node a toward (b, t) contributes
@@ -145,10 +159,11 @@ def walk_logprob_gradient(
     with the step probabilities read from the batch's table, which must
     have been built from ``emb``. Every term pairs two nodes, so hop terms
     and neighbor terms (weighted by the reward leaving each node) go into
-    ``out`` in one symmetric scatter.
+    ``out`` in one symmetric scatter, over flat (row, column) slots so that
+    ``np.add.at`` takes numpy's fast 1-D path.
     """
     values = emb.values
-    src, dst = batch.tree.directed_edges()
+    src, dst = batch.tree.directed_edges() if edges is None else edges
     pos, neg = batch.table.directed()
     weight = np.repeat(rewards, np.diff(batch.hop_ptr))
     hop_src = src[batch.hops]
@@ -159,8 +174,9 @@ def walk_logprob_gradient(
     coef = np.concatenate(
         [weight * batch.step_signs, -leaving[src[nbr]] * (pos[nbr] - neg[nbr])]
     )[:, None]
-    np.add.at(out, x, coef * values[y])
-    np.add.at(out, y, coef * values[x])
+    slots = np.searchsorted(rows, np.concatenate([x, y]))[:, None] * emb.dim
+    terms = np.concatenate([coef, coef]) * values[np.concatenate([y, x])]
+    np.add.at(out.reshape(-1), (slots + np.arange(emb.dim)).ravel(), terms.ravel())
 
 
 def policy_gradient_update(
@@ -172,7 +188,8 @@ def policy_gradient_update(
     """One REINFORCE descent step over a batch of rewarded walks.
 
     Descends the mean of reward * grad log P(walk); ``rewards`` holds one
-    finite value per walk (the trainer's clamped log(1 - D)).
+    finite value per walk (the trainer's clamped log(1 - D)). Only the
+    rows the walks touch are read, written and checked for finiteness.
     """
     if not batch:
         return GeneratorUpdateReport(0.0, 0, 0)
@@ -181,15 +198,16 @@ def policy_gradient_update(
     if bad.any():
         node = int(batch.targets[bad][0])
         raise ValueError(f"non-finite reward on sample for node {node}")
-    grad = np.zeros_like(emb.values)
-    walk_logprob_gradient(emb, batch, rewards, grad)
+    edges = batch.tree.directed_edges()
+    rows = touched_nodes(batch.tree, edges[0][batch.hops])
+    grad = np.zeros((len(rows), emb.dim))
+    walk_logprob_gradient(emb, batch, rewards, rows, grad, edges)
     grad /= len(batch)
-    emb.values -= learning_rate * grad
-    if not np.isfinite(emb.values).all():
+    emb.values[rows] -= learning_rate * grad
+    if not np.isfinite(emb.values[rows]).all():
         raise DivergenceError("generator update left non-finite embeddings")
-    src, _ = batch.tree.directed_edges()
     return GeneratorUpdateReport(
         gradient_norm=float(np.linalg.norm(grad)),
         samples_used=len(batch),
-        nodes_touched=len(touched_nodes(batch.tree, src[batch.hops])),
+        nodes_touched=len(rows),
     )

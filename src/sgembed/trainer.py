@@ -261,6 +261,9 @@ def train(
         return trees[center]
 
     active = np.diff(g.indptr) > 0
+    # CSR slot s joins slot_rows[s] to g.indices[s], and the keys are sorted
+    slot_rows = np.repeat(np.arange(g.node_count), np.diff(g.indptr))
+    slot_keys = slot_rows * g.node_count + g.indices
     epochs: list[EpochStats] = []
     last_good = _snapshot(cfg, start_epoch, theta_j, theta_d, stream, fingerprint)
 
@@ -272,6 +275,15 @@ def train(
         g_norms: list[float] = []
         n_true = n_fake = n_true_pos = 0
         try:
+            # updates check only rows they write; a resumed table may hold NaN
+            for name, table in (("theta_j", theta_j), ("theta_d", theta_d)):
+                bad = np.flatnonzero(~np.isfinite(table.values).all(axis=1))
+                if len(bad):
+                    raise DivergenceError(f"{name} row {bad[0]} is not finite")
+            # theta_j stays fixed through the D passes: dot it once per slot
+            slot_dots = np.einsum(
+                "ij,ij->i", theta_j.values[slot_rows], theta_j.values[g.indices]
+            )
             for _ in range(cfg.d_epochs):
                 for center in stream.permutation(g.node_count).tolist():
                     if not active[center]:
@@ -279,8 +291,11 @@ def train(
                     true_batch = discriminator.sample_true_batch(
                         g, center, cfg.samples_per_center, stream
                     )
+                    tree = tree_for(center)
+                    key = tree.parent_nodes * g.node_count + tree.child_nodes
                     fakes = generator.generate_fakes(
-                        theta_j, tree_for(center), cfg.samples_per_center, stream
+                        theta_j, tree, cfg.samples_per_center, stream,
+                        slot_dots[np.searchsorted(slot_keys, key)],
                     )
                     n_true += len(true_batch)
                     n_fake += len(fakes)
@@ -353,7 +368,8 @@ def train(
 
 
 def checkpoint(state: TrainState, path: str | Path) -> None:
-    """Write a versioned binary checkpoint with a trailing checksum."""
+    """Write a versioned binary checkpoint with a trailing checksum; a
+    temporary file replaces ``path`` only once it is complete."""
     header = json.dumps(
         {
             "config": state.config.to_dict(),
@@ -373,8 +389,13 @@ def checkpoint(state: TrainState, path: str | Path) -> None:
         + np.ascontiguousarray(state.theta_d.values).tobytes()
     )
     digest = hashlib.blake2b(payload, digest_size=8).digest()
-    with open(path, "wb") as fh:
-        fh.write(payload + digest)
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(payload + digest)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def resume(path: str | Path) -> TrainState:

@@ -144,48 +144,23 @@ class RelevanceTable:
         )
 
 
-def _step_arrays(emb_values: np.ndarray, tree: BfsTree):
-    """Vectorized single-hop relevance for every directed tree edge."""
-    t = len(tree.child_nodes)
-    n = emb_values.shape[0]
-    if t == 0:
-        z = np.zeros(0)
-        return z, z, z.copy(), z.copy()
-    dots = np.einsum(
-        "ij,ij->i",
-        emb_values[tree.parent_nodes],
-        emb_values[tree.child_nodes],
-    )
+def relevance_table(emb, tree: BfsTree, dots=None) -> RelevanceTable:
+    """Build and propagate the full relevance table for one tree, from the
+    tree edges' g_parent . g_child ``dots`` (in edge order) when given."""
+    values, t, n = emb.values, len(tree.child_nodes), len(emb.values)
+    if dots is None:
+        dots = np.einsum(
+            "ij,ij->i", values[tree.parent_nodes], values[tree.child_nodes]
+        )
+    src, _ = tree.directed_edges()
+    dots = np.concatenate([dots, dots])  # per directed edge
     # per-node shift keeps exp arguments <= 0 even for |dot| > 700
     shift = np.zeros(n)
-    np.maximum.at(shift, tree.parent_nodes, np.abs(dots))
-    np.maximum.at(shift, tree.child_nodes, np.abs(dots))
-    ep_parent = np.exp(dots - shift[tree.parent_nodes])
-    en_parent = np.exp(-dots - shift[tree.parent_nodes])
-    ep_child = np.exp(dots - shift[tree.child_nodes])
-    en_child = np.exp(-dots - shift[tree.child_nodes])
-    denom = np.zeros(n)
-    np.add.at(denom, tree.parent_nodes, ep_parent + en_parent)
-    np.add.at(denom, tree.child_nodes, ep_child + en_child)
-    down_pos = ep_parent / denom[tree.parent_nodes]
-    down_neg = en_parent / denom[tree.parent_nodes]
-    up_pos = ep_child / denom[tree.child_nodes]
-    up_neg = en_child / denom[tree.child_nodes]
-    return down_pos, down_neg, up_pos, up_neg
-
-
-def relevance_table(emb, tree: BfsTree) -> RelevanceTable:
-    """Build and propagate the full relevance table for one tree."""
-    down_pos, down_neg, up_pos, up_neg = _step_arrays(emb.values, tree)
-    n = emb.values.shape[0]
-    table = RelevanceTable(
-        down_pos=down_pos,
-        down_neg=down_neg,
-        up_pos=up_pos,
-        up_neg=up_neg,
-        cum_pos=np.zeros(n),
-        cum_neg=np.zeros(n),
-    )
+    np.maximum.at(shift, src, np.abs(dots))
+    pos, neg = np.exp(dots - shift[src]), np.exp(-dots - shift[src])
+    denom = np.bincount(src, pos + neg, n)[src]
+    pos, neg = pos / denom, neg / denom
+    table = RelevanceTable(pos[:t], neg[:t], pos[t:], neg[t:], *np.zeros((2, n)))
     return propagate(table, tree)
 
 
@@ -200,14 +175,15 @@ def propagate(table: RelevanceTable, tree: BfsTree) -> RelevanceTable:
     table.cum_neg[tree.root] = 0.0
     if len(tree.child_nodes) == 0:
         return table
-    child_levels = tree.level[tree.child_nodes]
-    for lev in range(1, int(child_levels.max()) + 1):
-        sel = child_levels == lev
-        c = tree.child_nodes[sel]
-        p = tree.parent_nodes[sel]
-        dp, dn = table.down_pos[sel], table.down_neg[sel]
-        table.cum_pos[c] = table.cum_pos[p] * dp + table.cum_neg[p] * dn
-        table.cum_neg[c] = table.cum_pos[p] * dn + table.cum_neg[p] * dp
+    # child_nodes is in BFS order, so each level is one contiguous slice
+    levels = tree.level[tree.child_nodes]
+    bounds = np.searchsorted(levels, np.arange(1, levels[-1] + 2)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        c, p = tree.child_nodes[lo:hi], tree.parent_nodes[lo:hi]
+        cp, cn = table.cum_pos[p], table.cum_neg[p]
+        dp, dn = table.down_pos[lo:hi], table.down_neg[lo:hi]
+        table.cum_pos[c] = cp * dp + cn * dn
+        table.cum_neg[c] = cp * dn + cn * dp
     return table
 
 
@@ -300,7 +276,7 @@ def touched_nodes(tree: BfsTree, nodes) -> np.ndarray:
 
     The nodes themselves plus every tree neighbor of one of them.
     """
-    src, dst = tree.directed_edges()
     visited = np.zeros(len(tree.level), dtype=bool)
     visited[nodes] = True
-    return np.unique(np.concatenate([np.asarray(nodes), dst[visited[src]]]))
+    c, p = tree.child_nodes, tree.parent_nodes
+    return np.union1d(nodes, np.concatenate([c[visited[p]], p[visited[c]]]))

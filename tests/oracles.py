@@ -14,7 +14,13 @@ from collections import deque
 
 import numpy as np
 
-from sgembed import Sign, WalkBatch
+from sgembed import Sign, WalkBatch, touched_nodes
+from sgembed.discriminator import DiscriminatorUpdateReport, _sigmoid, objective
+from sgembed.generator import (
+    DivergenceError,
+    GeneratorUpdateReport,
+    walk_logprob_gradient,
+)
 
 
 def queue_bfs(g, root, max_depth=None):
@@ -275,3 +281,97 @@ def unbalanced_triangles(g):
                     if sign[(a, b)] * sign[(a, c)] * sign[(b, c)] < 0:
                         count += 1
     return count
+
+
+# Dense updates: the full-table gradient steps the trainer took before its
+# updates were restricted to the rows a batch touches. Each allocates an
+# n x k gradient and checks the whole table.
+
+
+def scatter_rows(rows, block, node_count):
+    """Dense gradient: ``block``'s row r at row rows[r], zeros elsewhere."""
+    dense = np.zeros((node_count, block.shape[1]))
+    dense[rows] = block
+    return dense
+
+
+def walk_gradient(emb, batch, rewards):
+    """``walk_logprob_gradient`` over the rows the batch touches,
+    scattered to a dense table."""
+    src, _ = batch.tree.directed_edges()
+    rows = touched_nodes(batch.tree, src[batch.hops])
+    block = np.zeros((len(rows), emb.dim))
+    walk_logprob_gradient(emb, batch, np.asarray(rewards, dtype=float), rows, block)
+    return scatter_rows(rows, block, emb.rows)
+
+
+def dense_walk_logprob_gradient(emb, batch, rewards, out):
+    """``walk_logprob_gradient`` into a full table ``out`` with
+    ``np.add.at``."""
+    values = emb.values
+    src, dst = batch.tree.directed_edges()
+    pos, neg = batch.table.directed()
+    weight = np.repeat(rewards, np.diff(batch.hop_ptr))
+    hop_src = src[batch.hops]
+    leaving = np.bincount(hop_src, weights=weight, minlength=len(values))
+    nbr = np.flatnonzero(leaving[src])
+    x = np.concatenate([hop_src, src[nbr]])
+    y = np.concatenate([dst[batch.hops], dst[nbr]])
+    coef = np.concatenate(
+        [weight * batch.step_signs, -leaving[src[nbr]] * (pos[nbr] - neg[nbr])]
+    )[:, None]
+    np.add.at(out, x, coef * values[y])
+    np.add.at(out, y, coef * values[x])
+
+
+def dense_batch_gradient(emb, batch):
+    """Full-table gradient of ``discriminator.objective``."""
+    us, vs, signs = batch["u"], batch["v"], batch["sign"]
+    z = signs * np.einsum("ij,ij->i", emb.values[us], emb.values[vs])
+    s = _sigmoid(z)
+    coef = np.where(batch["true"], 1.0 - s, -s) * signs / len(batch)
+    grad = np.zeros_like(emb.values)
+    np.add.at(grad, us, coef[:, None] * emb.values[vs])
+    np.add.at(grad, vs, coef[:, None] * emb.values[us])
+    return grad
+
+
+def dense_update(emb, batch, learning_rate):
+    """``discriminator.update`` through a full-table gradient."""
+    if not len(batch):
+        raise ValueError("batch must be nonempty")
+    value = objective(emb, batch)
+    grad = dense_batch_gradient(emb, batch)
+    if not np.isfinite(grad).all():
+        raise DivergenceError("non-finite discriminator gradient")
+    emb.values += learning_rate * grad
+    if not np.isfinite(emb.values).all():
+        raise DivergenceError("discriminator update left non-finite embeddings")
+    return DiscriminatorUpdateReport(
+        objective=value,
+        gradient_norm=float(np.linalg.norm(grad)),
+        batch_size=len(batch),
+    )
+
+
+def dense_policy_gradient_update(emb, batch, rewards, learning_rate):
+    """``generator.policy_gradient_update`` through a full-table gradient."""
+    if not batch:
+        return GeneratorUpdateReport(0.0, 0, 0)
+    rewards = np.asarray(rewards, dtype=float)
+    bad = ~np.isfinite(rewards)
+    if bad.any():
+        node = int(batch.targets[bad][0])
+        raise ValueError(f"non-finite reward on sample for node {node}")
+    grad = np.zeros_like(emb.values)
+    dense_walk_logprob_gradient(emb, batch, rewards, grad)
+    grad /= len(batch)
+    emb.values -= learning_rate * grad
+    if not np.isfinite(emb.values).all():
+        raise DivergenceError("generator update left non-finite embeddings")
+    src, _ = batch.tree.directed_edges()
+    return GeneratorUpdateReport(
+        gradient_norm=float(np.linalg.norm(grad)),
+        samples_used=len(batch),
+        nodes_touched=len(touched_nodes(batch.tree, src[batch.hops])),
+    )

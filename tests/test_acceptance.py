@@ -47,8 +47,10 @@ from oracles import (
     hand_paper_micro_f1,
     hand_standard_micro_f1,
     naive_modified_softmax,
+    scatter_rows,
     single_walk_batches,
     walk_batch,
+    walk_gradient,
     walk_probability,
 )
 
@@ -198,7 +200,7 @@ def test_criterion_5_gradient_correctness():
     batch = edge_batch(
         [0, 0, 1, 2], [1, 2, 3, 3], [P, N, P, N], [True, True, False, False]
     )
-    grad = batch_gradient(emb, batch)
+    grad = scatter_rows(*batch_gradient(emb, batch), emb.rows)
     h = 1e-6
     fd = np.zeros_like(grad)
     for i in range(emb.rows):
@@ -230,10 +232,7 @@ def test_criterion_5_gradient_correctness():
         * reward_fn(path[-1], math.prod(signs))
         for path, signs in walks
     ])
-    exact = np.zeros_like(gen_emb.values)
-    walk_logprob_gradient(
-        gen_emb, walk_batch(tree, table, walks), weights, exact
-    )
+    exact = walk_gradient(gen_emb, walk_batch(tree, table, walks), weights)
 
     h = 1e-5
     fd_gen = np.zeros_like(exact)
@@ -250,7 +249,8 @@ def test_criterion_5_gradient_correctness():
     gen_rel = float(np.abs(exact - fd_gen).max() / np.abs(fd_gen).max())
 
     # REINFORCE Monte Carlo mean vs the exact gradient, 10^6 samples, each
-    # sample's gradient taken on its own
+    # sample's gradient taken on its own, over every row of the table
+    all_rows = np.arange(gen_emb.rows)
     rng = np.random.default_rng(13)
     n_draws = 1_000_000
     batch = sample_walk(table, tree, rng, n_draws)
@@ -262,7 +262,9 @@ def test_criterion_5_gradient_correctness():
     total_sq = np.zeros_like(exact)
     for i, walk in enumerate(single_walk_batches(batch)):
         gs = np.zeros_like(exact)
-        walk_logprob_gradient(gen_emb, walk, draw_rewards[i : i + 1], gs)
+        walk_logprob_gradient(
+            gen_emb, walk, draw_rewards[i : i + 1], all_rows, gs
+        )
         total += gs
         total_sq += gs * gs
     mean = total / n_draws

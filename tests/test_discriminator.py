@@ -16,6 +16,8 @@ from sgembed import (
 )
 from sgembed.discriminator import _sigmoid, batch_gradient, objective, update
 
+from oracles import scatter_rows
+
 P, N = Sign.POSITIVE, Sign.NEGATIVE
 
 
@@ -193,7 +195,7 @@ class TestUpdate:
             (2, 3, N, False),
             (1, 2, N, False),
         )
-        grad = batch_gradient(emb, batch)
+        grad = scatter_rows(*batch_gradient(emb, batch), emb.rows)
         h = 1e-6
         fd = np.zeros_like(grad)
         for i in range(emb.rows):

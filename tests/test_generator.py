@@ -19,14 +19,13 @@ from sgembed import (
     touched_nodes,
     tree_distribution,
 )
-from sgembed.generator import walk_logprob_gradient
-
 from oracles import (
     enumerate_walks,
     expected_reward,
     naive_walk_logprob,
     root_path,
     walk_batch,
+    walk_gradient,
     walk_probability,
 )
 
@@ -149,8 +148,7 @@ class TestWalkGradient:
         g = random_connected_graph(7, 9, seed)
         emb = init_embeddings(7, 3, seed)
         fakes = fakes_at(g, emb, 0, 1, seed)
-        grad = np.zeros_like(emb.values)
-        walk_logprob_gradient(emb, fakes, np.ones(1), grad)
+        grad = walk_gradient(emb, fakes, np.ones(1))
 
         h = 1e-6
         fd = np.zeros_like(grad)
@@ -180,10 +178,8 @@ def exact_policy_gradient(emb, tree, reward_fn):
         * reward_fn(path[-1], math.prod(signs))
         for path, signs in walks
     ]
-    grad = np.zeros_like(emb.values)
     batch = walk_batch(tree, relevance_table(emb, tree), walks)
-    walk_logprob_gradient(emb, batch, np.array(weights), grad)
-    return grad
+    return walk_gradient(emb, batch, weights)
 
 
 class TestPolicyGradientUpdate:

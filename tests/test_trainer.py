@@ -1,11 +1,15 @@
 """Tests for the adversarial training loop, config, and checkpointing."""
 
 import dataclasses
+import errno
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from sgembed import (
     CheckpointError,
     Sign,
@@ -13,6 +17,7 @@ from sgembed import (
     TrainConfig,
     TrainingDiverged,
     balance_audit,
+    build_bfs_tree,
     checkpoint,
     random_connected_graph,
     relevance_table,
@@ -21,9 +26,13 @@ from sgembed import (
     synth_balanced,
     train,
 )
+from sgembed import discriminator, generator
 from sgembed.discriminator import objective
 from sgembed.generator import init_embeddings
 from sgembed.trainer import TrainState
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import inputs  # noqa: E402
 
 P, N = Sign.POSITIVE, Sign.NEGATIVE
 
@@ -294,8 +303,8 @@ class TestCheckpoint:
     def test_nan_step_probability_aborts(self, monkeypatch):
         from sgembed import generator
 
-        def poisoned_table(emb, tree):
-            table = relevance_table(emb, tree)
+        def poisoned_table(emb, tree, dots=None):
+            table = relevance_table(emb, tree, dots)
             table.down_pos[0] = np.nan
             return table
 
@@ -325,3 +334,140 @@ class TestCheckpoint:
             train(g, resume_from=poisoned, checkpoint_path=out)
         assert out.exists()
         assert exc.value.state.epochs_done == state.epochs_done
+
+
+def dense_train(monkeypatch, g, cfg, **kwargs):
+    """``train`` with full-table updates and every relevance table built
+    from gathered rows, as before the touched-rows step."""
+    with monkeypatch.context() as m:
+        m.setattr(discriminator, "update", oracles.dense_update)
+        m.setattr(
+            generator, "policy_gradient_update",
+            oracles.dense_policy_gradient_update,
+        )
+        m.setattr(
+            generator, "relevance_table",
+            lambda emb, tree, dots=None: relevance_table(emb, tree),
+        )
+        return train(g, cfg, **kwargs)
+
+
+def assert_same_run(a, b):
+    """Same tables bit for bit and the same stats, timing aside. The mean
+    gradient norms may differ in their last bits: a norm over a table's
+    touched rows sums the same squares as one over the whole table, but
+    grouped differently."""
+    assert a[0].values.tobytes() == b[0].values.tobytes()
+    assert a[1].values.tobytes() == b[1].values.tobytes()
+    assert a[2].theta_j_checksum == b[2].theta_j_checksum
+    assert a[2].theta_d_checksum == b[2].theta_d_checksum
+    assert len(a[2].epochs) == len(b[2].epochs)
+    for x, y in zip(a[2].epochs, b[2].epochs):
+        x, y = x.to_dict(), y.to_dict()
+        del x["wall_time"], y["wall_time"]
+        for key in ("d_grad_norm", "g_grad_norm"):
+            assert x.pop(key) == pytest.approx(y.pop(key), rel=1e-12)
+        assert x == y
+
+
+def bitcoin_like(n, seed):
+    u, v, sign, _ = inputs.bitcoin_like_graph(n, seed)
+    return SignedGraph.from_edges(n, np.stack([u, v, sign], axis=1))
+
+
+class TestTouchedRowsStep:
+    """Sparse updates and D-phase edge dots against the dense path."""
+
+    def test_criterion_6_config_matches_dense(self, monkeypatch):
+        g = synth_balanced(2, 50, 0.3, 0.2, 0.05, seed=11)
+        cfg = TrainConfig(
+            embedding_dim=16,
+            learning_rate=0.3,
+            outer_epochs=10,
+            d_epochs=5,
+            g_epochs=5,
+            samples_per_center=10,
+            batch_size=32,
+            seed=5,
+        )
+        assert_same_run(train(g, cfg), dense_train(monkeypatch, g, cfg))
+
+    def test_bitcoin_like_graph_matches_dense(self, monkeypatch):
+        g = bitcoin_like(300, 2)
+        cfg = TrainConfig(outer_epochs=1, d_epochs=2, g_epochs=2, seed=4)
+        assert_same_run(train(g, cfg), dense_train(monkeypatch, g, cfg))
+
+    def test_resumed_run_matches_dense(self, monkeypatch, tmp_path):
+        g = random_connected_graph(30, 60, 4)
+        path = tmp_path / "a.ckpt"
+        train(g, SMALL, checkpoint_path=path)
+        longer = dataclasses.replace(SMALL, outer_epochs=4)
+        assert_same_run(
+            train(g, longer, resume_from=resume(path)),
+            dense_train(monkeypatch, g, longer, resume_from=resume(path)),
+        )
+
+    def test_rows_outside_a_batch_stay_untouched(self):
+        g = random_connected_graph(40, 80, 5)
+        rng = np.random.default_rng(5)
+        d_emb = init_embeddings(40, 6, 1)
+        batch = edge_batch([3, 3, 7], [9, 12, 3], [1, -1, 1], [True, False, True])
+        dense = d_emb.copy()
+        discriminator.update(d_emb, batch, 0.5)
+        oracles.dense_update(dense, batch, 0.5)
+        assert d_emb.values.tobytes() == dense.values.tobytes()
+        outside = np.setdiff1d(np.arange(40), [3, 7, 9, 12])
+        assert d_emb.values[outside].tobytes() == init_embeddings(
+            40, 6, 1
+        ).values[outside].tobytes()
+
+        j_emb = init_embeddings(40, 6, 2)
+        fakes = generator.generate_fakes(
+            j_emb, build_bfs_tree(g, 11), 5, rng
+        )
+        dense, before = j_emb.copy(), j_emb.copy()
+        rewards = rng.uniform(-3.0, 0.0, 5)
+        rep = generator.policy_gradient_update(j_emb, fakes, rewards, 0.5)
+        oracles.dense_policy_gradient_update(dense, fakes, rewards, 0.5)
+        assert j_emb.values.tobytes() == dense.values.tobytes()
+        src, _ = fakes.tree.directed_edges()
+        touched = generator.touched_nodes(fakes.tree, src[fakes.hops])
+        assert rep.nodes_touched == len(touched) < 40
+        outside = np.setdiff1d(np.arange(40), touched)
+        assert (
+            j_emb.values[outside].tobytes() == before.values[outside].tobytes()
+        )
+
+    @pytest.mark.parametrize("name", ["theta_j", "theta_d"])
+    def test_non_finite_resumed_table_names_its_row(self, tmp_path, name):
+        g = random_connected_graph(6, 8, 1)
+        path = tmp_path / "good.ckpt"
+        train(g, SMALL, checkpoint_path=path)
+        state = resume(path)
+        state.config = dataclasses.replace(state.config, outer_epochs=4)
+        getattr(state, name).values[4, 1] = np.inf
+        with pytest.raises(TrainingDiverged, match=f"{name} row 4") as exc:
+            train(g, resume_from=state)
+        assert exc.value.state.epochs_done == SMALL.outer_epochs
+
+
+def test_failed_checkpoint_write_keeps_the_old_one(tmp_path, monkeypatch):
+    g = random_connected_graph(6, 8, 0)
+    path = tmp_path / "run.ckpt"
+    train(g, SMALL, checkpoint_path=path)
+    before = path.read_bytes()
+    state = resume(path)
+    state.epochs_done += 1
+
+    def half_write(self, data):  # a full disk: part of the bytes, then an error
+        with open(self, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", half_write)
+    with pytest.raises(OSError, match="No space"):
+        checkpoint(state, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert resume(path).epochs_done == SMALL.outer_epochs
+    assert sorted(tmp_path.iterdir()) == [path]
