@@ -82,13 +82,14 @@ class EmbeddingMatrix:
             raise ValueError(
                 f"{path}: header declares {rows} rows, found {len(lines) - 1}"
             )
-        # the save format (rows in id order) in one C parse, to the same
-        # doubles as float(); anything else goes line by line below
-        with suppress(ValueError):
-            table = np.loadtxt([ln for _, ln in lines[1:]], ndmin=2, comments=None)
-            ok = table.shape == (rows, dim + 1) and np.isfinite(table).all()
-            if ok and np.array_equal(table[:, 0], np.arange(rows)):
-                return cls(values=table[:, 1:])
+        # the save format (ids 0, 1, ... in order) in one C parse, to the
+        # same doubles as float(); anything else goes line by line below
+        body = [ln for _, ln in lines[1:]]
+        if rows and all(ln.split(None, 1)[0] == str(i) for i, ln in enumerate(body)):
+            with suppress(ValueError):
+                table = np.loadtxt(body, ndmin=2, comments=None)
+                if table.shape == (rows, dim + 1) and np.isfinite(table).all():
+                    return cls(values=table[:, 1:])
         values = np.zeros((rows, dim))
         seen = np.zeros(rows, dtype=bool)
         for lineno, ln in lines[1:]:
@@ -114,21 +115,20 @@ def init_embeddings(node_count: int, dim: int, seed) -> EmbeddingMatrix:
 
 
 def generate_fakes(
-    emb: EmbeddingMatrix, tree: BfsTree, count: int, rng: np.random.Generator,
-    dots: np.ndarray | None = None,
+    emb: EmbeddingMatrix, tree: BfsTree, count: int, rng: np.random.Generator
 ) -> WalkBatch | None:
     """Draw ``count`` fake signed neighbors of the tree's root as one batch.
 
-    Builds the relevance table once (from ``dots`` if given, see
-    ``relevance_table``) and samples every walk from it. A tree that covers
-    only its root (an isolated center) yields None with a logged warning.
+    Builds the relevance table once and samples every walk from it. A tree
+    that covers only its root (an isolated center) yields None with a
+    logged warning.
     """
     if count <= 0:
         raise ValueError("count must be positive")
     if tree.covered_count < 2:
         logger.warning("center %d is isolated; no fakes generated", tree.root)
         return None
-    return sample_walk(relevance_table(emb, tree, dots), tree, rng, count)
+    return sample_walk(relevance_table(emb, tree), tree, rng, count)
 
 
 @dataclass
@@ -142,14 +142,10 @@ def walk_logprob_gradient(
     emb: EmbeddingMatrix,
     batch: WalkBatch,
     rewards: np.ndarray,
-    rows: np.ndarray,
-    out: np.ndarray,
-    edges: tuple[np.ndarray, np.ndarray] | None = None,
-) -> None:
-    """Accumulate sum_i rewards[i] * d log P(walk i) / d theta into ``out``,
-    a C-contiguous block whose row r holds node rows[r]; ``rows`` is sorted
-    and covers every node the gradient touches (see ``touched_nodes``).
-    ``edges`` may pass in the tree's ``directed_edges()``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i rewards[i] * d log P(walk i) / d theta as ``(rows, grad)``:
+    grad[r] is node rows[r]'s, for the nodes ``touched_nodes`` names, and
+    every other row's gradient is zero.
 
     A walk's log-probability is the sum of per-hop softmax
     log-probabilities; each hop at node a toward (b, t) contributes
@@ -159,11 +155,11 @@ def walk_logprob_gradient(
     with the step probabilities read from the batch's table, which must
     have been built from ``emb``. Every term pairs two nodes, so hop terms
     and neighbor terms (weighted by the reward leaving each node) go into
-    ``out`` in one symmetric scatter, over flat (row, column) slots so that
+    ``grad`` in one symmetric scatter, over flat (row, column) slots so that
     ``np.add.at`` takes numpy's fast 1-D path.
     """
     values = emb.values
-    src, dst = batch.tree.directed_edges() if edges is None else edges
+    src, dst = batch.tree.directed_edges()
     pos, neg = batch.table.directed()
     weight = np.repeat(rewards, np.diff(batch.hop_ptr))
     hop_src = src[batch.hops]
@@ -174,9 +170,12 @@ def walk_logprob_gradient(
     coef = np.concatenate(
         [weight * batch.step_signs, -leaving[src[nbr]] * (pos[nbr] - neg[nbr])]
     )[:, None]
+    rows = touched_nodes(batch.tree, hop_src)
+    grad = np.zeros((len(rows), emb.dim))
     slots = np.searchsorted(rows, np.concatenate([x, y]))[:, None] * emb.dim
     terms = np.concatenate([coef, coef]) * values[np.concatenate([y, x])]
-    np.add.at(out.reshape(-1), (slots + np.arange(emb.dim)).ravel(), terms.ravel())
+    np.add.at(grad.reshape(-1), (slots + np.arange(emb.dim)).ravel(), terms.ravel())
+    return rows, grad
 
 
 def policy_gradient_update(
@@ -198,10 +197,7 @@ def policy_gradient_update(
     if bad.any():
         node = int(batch.targets[bad][0])
         raise ValueError(f"non-finite reward on sample for node {node}")
-    edges = batch.tree.directed_edges()
-    rows = touched_nodes(batch.tree, edges[0][batch.hops])
-    grad = np.zeros((len(rows), emb.dim))
-    walk_logprob_gradient(emb, batch, rewards, rows, grad, edges)
+    rows, grad = walk_logprob_gradient(emb, batch, rewards)
     grad /= len(batch)
     emb.values[rows] -= learning_rate * grad
     if not np.isfinite(emb.values[rows]).all():

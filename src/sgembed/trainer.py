@@ -261,11 +261,19 @@ def train(
         return trees[center]
 
     active = np.diff(g.indptr) > 0
-    # CSR slot s joins slot_rows[s] to g.indices[s], and the keys are sorted
-    slot_rows = np.repeat(np.arange(g.node_count), np.diff(g.indptr))
-    slot_keys = slot_rows * g.node_count + g.indices
     epochs: list[EpochStats] = []
     last_good = _snapshot(cfg, start_epoch, theta_j, theta_d, stream, fingerprint)
+
+    def diverged(exc: Exception) -> TrainingDiverged:
+        if checkpoint_path is not None:
+            checkpoint(last_good, checkpoint_path)
+        return TrainingDiverged(str(exc), state=last_good)
+
+    # updates check only the rows they write; a resumed table may hold NaN
+    for name, table in (("theta_j", theta_j), ("theta_d", theta_d)):
+        bad = np.flatnonzero(~np.isfinite(table.values).all(axis=1))
+        if len(bad):
+            raise diverged(DivergenceError(f"{name} row {bad[0]} is not finite"))
 
     for epoch in range(start_epoch, cfg.outer_epochs):
         t0 = time.perf_counter()
@@ -275,15 +283,6 @@ def train(
         g_norms: list[float] = []
         n_true = n_fake = n_true_pos = 0
         try:
-            # updates check only rows they write; a resumed table may hold NaN
-            for name, table in (("theta_j", theta_j), ("theta_d", theta_d)):
-                bad = np.flatnonzero(~np.isfinite(table.values).all(axis=1))
-                if len(bad):
-                    raise DivergenceError(f"{name} row {bad[0]} is not finite")
-            # theta_j stays fixed through the D passes: dot it once per slot
-            slot_dots = np.einsum(
-                "ij,ij->i", theta_j.values[slot_rows], theta_j.values[g.indices]
-            )
             for _ in range(cfg.d_epochs):
                 for center in stream.permutation(g.node_count).tolist():
                     if not active[center]:
@@ -291,11 +290,8 @@ def train(
                     true_batch = discriminator.sample_true_batch(
                         g, center, cfg.samples_per_center, stream
                     )
-                    tree = tree_for(center)
-                    key = tree.parent_nodes * g.node_count + tree.child_nodes
                     fakes = generator.generate_fakes(
-                        theta_j, tree, cfg.samples_per_center, stream,
-                        slot_dots[np.searchsorted(slot_keys, key)],
+                        theta_j, tree_for(center), cfg.samples_per_center, stream
                     )
                     n_true += len(true_batch)
                     n_fake += len(fakes)
@@ -331,9 +327,7 @@ def train(
                     g_rewards.append(float(rewards.mean()))
                     g_norms.append(rep.gradient_norm)
         except (DivergenceError, FloatingPointError) as exc:
-            if checkpoint_path is not None:
-                checkpoint(last_good, checkpoint_path)
-            raise TrainingDiverged(str(exc), state=last_good) from exc
+            raise diverged(exc) from exc
 
         epochs.append(
             EpochStats(

@@ -144,14 +144,12 @@ class RelevanceTable:
         )
 
 
-def relevance_table(emb, tree: BfsTree, dots=None) -> RelevanceTable:
-    """Build and propagate the full relevance table for one tree, from the
-    tree edges' g_parent . g_child ``dots`` (in edge order) when given."""
+def relevance_table(emb, tree: BfsTree) -> RelevanceTable:
+    """Build and propagate the full relevance table for one tree."""
     values, t, n = emb.values, len(tree.child_nodes), len(emb.values)
-    if dots is None:
-        dots = np.einsum(
-            "ij,ij->i", values[tree.parent_nodes], values[tree.child_nodes]
-        )
+    dots = np.einsum(
+        "ij,ij->i", values[tree.parent_nodes], values[tree.child_nodes]
+    )
     src, _ = tree.directed_edges()
     dots = np.concatenate([dots, dots])  # per directed edge
     # per-node shift keeps exp arguments <= 0 even for |dot| > 700

@@ -298,10 +298,7 @@ def scatter_rows(rows, block, node_count):
 def walk_gradient(emb, batch, rewards):
     """``walk_logprob_gradient`` over the rows the batch touches,
     scattered to a dense table."""
-    src, _ = batch.tree.directed_edges()
-    rows = touched_nodes(batch.tree, src[batch.hops])
-    block = np.zeros((len(rows), emb.dim))
-    walk_logprob_gradient(emb, batch, np.asarray(rewards, dtype=float), rows, block)
+    rows, block = walk_logprob_gradient(emb, batch, np.asarray(rewards, dtype=float))
     return scatter_rows(rows, block, emb.rows)
 
 

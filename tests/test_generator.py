@@ -1,6 +1,7 @@
 """Tests for embeddings, fake generation, and the policy-gradient update."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ class TestEmbeddingIO:
         path.write_text(f"# comment\n2 2\n0 0.5 0.5\n1 0.25 {bad}\n")
         with pytest.raises(ValueError, match=r"bad\.emb:4: non-finite"):
             EmbeddingMatrix.load(path)
+
+    @pytest.mark.parametrize("bad_id", ["1.0", "1e0"])
+    def test_load_rejects_non_integer_ids(self, tmp_path, bad_id):
+        path = tmp_path / "bad.emb"
+        path.write_text(f"2 2\n0 0.5 0.5\n{bad_id} 0.25 0.75\n")
+        with pytest.raises(ValueError):
+            EmbeddingMatrix.load(path)
+
+    def test_load_zero_rows_without_warning(self, tmp_path):
+        path = tmp_path / "empty.emb"
+        path.write_text("0 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert EmbeddingMatrix.load(path).values.shape == (0, 3)
 
     def test_checksum_tracks_content(self):
         a = init_embeddings(5, 3, seed=0)

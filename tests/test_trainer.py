@@ -303,8 +303,8 @@ class TestCheckpoint:
     def test_nan_step_probability_aborts(self, monkeypatch):
         from sgembed import generator
 
-        def poisoned_table(emb, tree, dots=None):
-            table = relevance_table(emb, tree, dots)
+        def poisoned_table(emb, tree):
+            table = relevance_table(emb, tree)
             table.down_pos[0] = np.nan
             return table
 
@@ -337,17 +337,12 @@ class TestCheckpoint:
 
 
 def dense_train(monkeypatch, g, cfg, **kwargs):
-    """``train`` with full-table updates and every relevance table built
-    from gathered rows, as before the touched-rows step."""
+    """``train`` with full-table updates, as before the touched-rows step."""
     with monkeypatch.context() as m:
         m.setattr(discriminator, "update", oracles.dense_update)
         m.setattr(
             generator, "policy_gradient_update",
             oracles.dense_policy_gradient_update,
-        )
-        m.setattr(
-            generator, "relevance_table",
-            lambda emb, tree, dots=None: relevance_table(emb, tree),
         )
         return train(g, cfg, **kwargs)
 
@@ -376,7 +371,7 @@ def bitcoin_like(n, seed):
 
 
 class TestTouchedRowsStep:
-    """Sparse updates and D-phase edge dots against the dense path."""
+    """Sparse updates against the dense path."""
 
     def test_criterion_6_config_matches_dense(self, monkeypatch):
         g = synth_balanced(2, 50, 0.3, 0.2, 0.05, seed=11)
