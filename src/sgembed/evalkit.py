@@ -67,50 +67,98 @@ def edge_feature_matrix(
     return np.concatenate([x, y], axis=1)
 
 
+# Bytes of float64 features per block of the classifier's feature array:
+# a block and its slice of the forward buffer stay in a 2 MiB L2 cache.
+BLOCK_BYTES = 256 * 1024
+
+
+def edge_feature_blocks(
+    emb: EmbeddingMatrix, us, vs, mode: EdgeFeatureMode
+) -> np.ndarray:
+    """``edge_feature_matrix`` of every edge, written block by block into one
+    zero-padded ``(blocks, rows, width)`` array of about BLOCK_BYTES per
+    block; row i of the flattened array is edge i."""
+    width = emb.dim * (2 if mode is EdgeFeatureMode.CONCAT else 1)
+    rows = max(1, BLOCK_BYTES // (8 * width))
+    blocks = np.zeros((-(-len(us) // rows), rows, width))
+    flat = blocks.reshape(-1, width)
+    for start in range(0, len(us), rows):
+        stop = min(start + rows, len(us))
+        flat[start:stop] = edge_feature_matrix(
+            emb, us[start:stop], vs[start:stop], mode
+        )
+    return blocks
+
+
 @dataclass
 class LogisticModel:
     weights: np.ndarray
     bias: float
-    initial_loss: float
-    final_loss: float
-
-
-def _log_loss(features, labels, weights, bias) -> float:
-    z = features @ weights + bias
-    # mean of log(1+exp(-z)) on positives and log(1+exp(z)) on negatives
-    return float(np.mean(np.logaddexp(0.0, np.where(labels == 1, -z, z))))
 
 
 def logreg_train(
     features: np.ndarray,
     labels: np.ndarray,
+    mask: np.ndarray | None = None,
     iterations: int = 500,
     learning_rate: float = 0.1,
-) -> LogisticModel:
-    """Batch gradient descent on mean log-loss from zero init.
+) -> list[LogisticModel]:
+    """Batch gradient descent on mean log-loss from zero init, one model per
+    column of ``mask``.
 
-    ``labels`` are 0/1 with 1 the positive sign. Deterministic (nothing is
-    sampled). Raises ValueError when only one class is present.
+    ``features`` is ``(m, d)``, or ``(blocks, rows, d)`` as from
+    ``edge_feature_blocks``, whose flattened row i is example i and whose
+    rows past ``len(labels)`` are padding. ``labels`` are 0/1 with 1 the
+    positive sign. Column j of the 0/1 ``mask`` ``(len(labels), k)``
+    selects the rows model j trains on; without a mask one model trains on
+    every row. All k models descend in one loop over the features, each
+    equal to a fit on its own rows up to last-bit rounding. Deterministic
+    (nothing is sampled). Raises ValueError when a column's rows hold only
+    one class.
     """
-    labels = np.asarray(labels, dtype=float)
-    if labels.min() == labels.max():
-        raise ValueError("training data must contain both classes")
-    weights = np.zeros(features.shape[1])
-    bias = 0.0
-    initial_loss = _log_loss(features, labels, weights, bias)
+    x = np.asarray(features, dtype=float)
+    if x.ndim == 2:
+        x = x[None]
+    blocks, rows, dim = x.shape
     m = len(labels)
+    if not m <= blocks * rows < m + rows:
+        raise ValueError(f"{m} labels for {blocks} blocks of {rows} rows")
+    keep = np.zeros((blocks * rows, 1 if mask is None else mask.shape[1]))
+    keep[:m] = 1.0 if mask is None else mask
+    k = keep.shape[1]
+    target = np.zeros(blocks * rows)
+    target[:m] = labels
+    count = keep.sum(axis=0)
+    positives = target @ keep
+    single = np.flatnonzero((positives == 0) | (positives == count))
+    if len(single):
+        raise ValueError(
+            f"column {single[0]}: training data must contain both classes"
+        )
+    keep = keep.reshape(blocks, rows, k)
+    target = target.reshape(blocks, rows, 1)
+    ones = np.ones(blocks * rows)
+    x_t = x.transpose(0, 2, 1)
+    weights = np.zeros((dim, k))
+    bias = np.zeros(k)
+    z = np.empty((blocks, rows, k))
     for _ in range(iterations):
-        z = features @ weights + bias
-        prob = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-        err = prob - labels
-        weights -= learning_rate * (features.T @ err) / m
-        bias -= learning_rate * float(err.mean())
-    return LogisticModel(
-        weights=weights,
-        bias=bias,
-        initial_loss=initial_loss,
-        final_loss=_log_loss(features, labels, weights, bias),
-    )
+        np.matmul(x, weights, out=z)
+        z += bias
+        # z becomes each model's error, sigmoid(z) - label, on its rows
+        np.clip(z, -500, 500, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.reciprocal(z, out=z)
+        z -= target
+        z *= keep
+        weights -= learning_rate * np.matmul(x_t, z).sum(axis=0) / count
+        bias -= learning_rate * (ones @ z.reshape(-1, k)) / count
+    return [
+        LogisticModel(weights=weights[:, j].copy(), bias=float(bias[j]))
+        for j in range(k)
+    ]
 
 
 def logreg_predict_proba(model: LogisticModel, features: np.ndarray) -> np.ndarray:
@@ -266,28 +314,30 @@ def _select_table(theta_j, theta_d, use_embeddings: str) -> EmbeddingMatrix:
     raise ValueError("use_embeddings must be 'generator' or 'discriminator'")
 
 
-def _evaluate_fold(table, g, train_idx, test_idx, feature_mode):
-    """Train the classifier on one fold's train split (edge indices of g)
-    and score its test split against the given embedding table."""
-    feats_train = edge_feature_matrix(
-        table, g.edge_u[train_idx], g.edge_v[train_idx], feature_mode
-    )
-    feats_test = edge_feature_matrix(
-        table, g.edge_u[test_idx], g.edge_v[test_idx], feature_mode
-    )
-    labels = (g.edge_sign > 0).astype(int)
-    model = logreg_train(feats_train, labels[train_idx])
-    y_pred = (logreg_predict_proba(model, feats_test) >= 0.5).astype(int)
-    return fold_metrics(labels[test_idx], y_pred)
+def _evaluate_folds(table, g, fold_of, fold_ids, feature_mode):
+    """Train one classifier per fold in ``fold_ids`` on the edges outside
+    that fold, all in one fit over every edge's features from the given
+    embedding table, and score each on its own fold's edges."""
+    blocks = edge_feature_blocks(table, g.edge_u, g.edge_v, feature_mode)
+    labels = g.edge_sign > 0
+    train_mask = fold_of[:, None] != np.asarray(fold_ids)[None, :]
+    models = logreg_train(blocks, labels, train_mask)
+    flat = blocks.reshape(-1, blocks.shape[-1])
+    results = []
+    for f, model in zip(fold_ids, models):
+        test = np.flatnonzero(fold_of == f)
+        y_pred = logreg_predict_proba(model, flat[test]) >= 0.5
+        results.append(fold_metrics(labels[test], y_pred))
+    return results
 
 
 def _strict_fold_job(args) -> FoldMetrics:
-    """Retrain embeddings without the held-out edges, then evaluate."""
-    g, train_idx, test_idx, cfg, feature_mode, use_embeddings = args
-    sub = SignedGraph.from_edges(g.node_count, g.edge_triples()[train_idx])
+    """Retrain embeddings without fold f's edges, then evaluate fold f."""
+    g, fold_of, f, cfg, feature_mode, use_embeddings = args
+    sub = SignedGraph.from_edges(g.node_count, g.edge_triples()[fold_of != f])
     theta_j, theta_d, _ = train(sub, cfg)
     table = _select_table(theta_j, theta_d, use_embeddings)
-    return _evaluate_fold(table, g, train_idx, test_idx, feature_mode)
+    return _evaluate_folds(table, g, fold_of, [f], feature_mode)[0]
 
 
 def kfold_link_prediction(
@@ -306,7 +356,8 @@ def kfold_link_prediction(
     the held-out edges; "fast" trains once on the full graph. A
     pre-trained ``embeddings`` table skips training entirely; leakage is
     then whatever produced the table, and the report's leakage_mode reads
-    "precomputed". Fold shuffling and per-fold
+    "precomputed". A table shared by all folds fits their k classifiers
+    in one ``logreg_train`` call. Fold shuffling and per-fold
     training seeds all derive from train_cfg.seed. Strict-mode folds are
     independent pipelines, so ``threads`` > 1 runs them in parallel with
     results identical to the sequential order.
@@ -328,31 +379,30 @@ def kfold_link_prediction(
         table = _select_table(theta_j, theta_d, use_embeddings)
 
     positive = g.edge_sign > 0
-    splits = []
+    fold_of = np.empty(g.edge_count, dtype=np.int64)
     for f, test_idx in enumerate(folds):
         if len(test_idx) == 0:
             raise ValueError(f"fold {f} is empty; reduce k_folds")
-        train_idx = np.setdiff1d(np.arange(g.edge_count), test_idx)
-        if positive[train_idx].all() or not positive[train_idx].any():
+        train_pos = np.delete(positive, test_idx)
+        if train_pos.all() or not train_pos.any():
             raise ValueError(f"fold {f}: training split has a single class")
-        splits.append((train_idx, test_idx))
+        fold_of[test_idx] = f
 
     if table is not None:
-        results = [
-            _evaluate_fold(table, g, train_idx, test_idx, feature_mode)
-            for train_idx, test_idx in splits
-        ]
+        results = _evaluate_folds(
+            table, g, fold_of, range(k_folds), feature_mode
+        )
     else:
         jobs = [
             (
-                g, train_idx, test_idx,
+                g, fold_of, f,
                 replace(
                     train_cfg,
                     seed=int(fold_train_ss[f].generate_state(1)[0]),
                 ),
                 feature_mode, use_embeddings,
             )
-            for f, (train_idx, test_idx) in enumerate(splits)
+            for f in range(k_folds)
         ]
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:

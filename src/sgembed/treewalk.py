@@ -83,6 +83,9 @@ def build_bfs_tree(
     parent = np.full(n, -1, dtype=np.int64)
     level = np.full(n, -1, dtype=np.int64)
     level[root] = 0
+    # position of each node's first occurrence in its discovery level's
+    # list; a node is discovered in one level only, so this is never reset
+    first_at = np.full(n, np.iinfo(np.int64).max)
     frontier = np.array([root], dtype=np.int64)
     levels = [frontier]
     depth = 0
@@ -95,7 +98,9 @@ def build_bfs_tree(
         by = np.repeat(frontier, sizes)
         new = level[found] < 0
         found, by = found[new], by[new]
-        first = np.sort(np.unique(found, return_index=True)[1])
+        position = np.arange(len(found))
+        np.minimum.at(first_at, found, position)
+        first = np.flatnonzero(first_at[found] == position)
         frontier = found[first]
         depth += 1
         level[frontier] = depth

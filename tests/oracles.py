@@ -16,6 +16,12 @@ import numpy as np
 
 from sgembed import Sign, WalkBatch, touched_nodes
 from sgembed.discriminator import DiscriminatorUpdateReport, _sigmoid, objective
+from sgembed.evalkit import (
+    LogisticModel,
+    edge_feature_matrix,
+    fold_metrics,
+    logreg_predict_proba,
+)
 from sgembed.generator import (
     DivergenceError,
     GeneratorUpdateReport,
@@ -372,3 +378,45 @@ def dense_policy_gradient_update(emb, batch, rewards, learning_rate):
         samples_used=len(batch),
         nodes_touched=len(touched_nodes(batch.tree, src[batch.hops])),
     )
+
+
+def log_loss(features, labels, weights, bias):
+    """Mean log-loss of a logistic model: log(1+exp(-z)) on positives and
+    log(1+exp(z)) on negatives."""
+    z = features @ weights + bias
+    return float(np.mean(np.logaddexp(0.0, np.where(labels == 1, -z, z))))
+
+
+def single_logreg(features, labels, iterations=500, learning_rate=0.1):
+    """One logistic model by batch gradient descent on its rows alone, one
+    matrix-vector product per direction and iteration."""
+    labels = np.asarray(labels, dtype=float)
+    weights = np.zeros(features.shape[1])
+    bias = 0.0
+    m = len(labels)
+    for _ in range(iterations):
+        z = features @ weights + bias
+        prob = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+        err = prob - labels
+        weights -= learning_rate * (features.T @ err) / m
+        bias -= learning_rate * float(err.mean())
+    return LogisticModel(weights=weights, bias=bias)
+
+
+def per_fold_metrics(table, g, folds, feature_mode):
+    """k-fold confusion counts with one classifier fit per fold on that
+    fold's own train and test feature copies."""
+    labels = (g.edge_sign > 0).astype(int)
+    results = []
+    for test_idx in folds:
+        train_idx = np.setdiff1d(np.arange(g.edge_count), test_idx)
+        feats_train = edge_feature_matrix(
+            table, g.edge_u[train_idx], g.edge_v[train_idx], feature_mode
+        )
+        feats_test = edge_feature_matrix(
+            table, g.edge_u[test_idx], g.edge_v[test_idx], feature_mode
+        )
+        model = single_logreg(feats_train, labels[train_idx])
+        y_pred = logreg_predict_proba(model, feats_test) >= 0.5
+        results.append(fold_metrics(labels[test_idx], y_pred))
+    return results

@@ -1,6 +1,7 @@
 """Tests for edge features, logistic regression, k-fold, and audits."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,15 @@ from sgembed import (
     stratified_edge_folds,
     synth_balanced,
 )
-from oracles import dealt_folds, hand_paper_micro_f1, hand_standard_micro_f1
+from sgembed.evalkit import BLOCK_BYTES, edge_feature_blocks
+from oracles import (
+    dealt_folds,
+    hand_paper_micro_f1,
+    hand_standard_micro_f1,
+    log_loss,
+    per_fold_metrics,
+    single_logreg,
+)
 
 P, N = Sign.POSITIVE, Sign.NEGATIVE
 
@@ -123,7 +132,7 @@ class TestLogisticRegression:
     def test_separable_one_dimensional(self):
         x = np.array([[-1.0], [1.0], [-2.0], [2.0]])
         y = np.array([0, 1, 0, 1])
-        model = logreg_train(x, y)
+        [model] = logreg_train(x, y)
         assert model.weights[0] > 0
         pred = (logreg_predict_proba(model, x) >= 0.5).astype(int)
         assert np.array_equal(pred, y)
@@ -131,9 +140,11 @@ class TestLogisticRegression:
     def test_zero_iterations_predicts_half(self):
         x = np.array([[0.3], [-0.4]])
         y = np.array([1, 0])
-        model = logreg_train(x, y, iterations=0)
+        [model] = logreg_train(x, y, iterations=0)
         assert np.allclose(logreg_predict_proba(model, x), 0.5)
-        assert model.final_loss == model.initial_loss
+        assert log_loss(x, y, model.weights, model.bias) == log_loss(
+            x, y, np.zeros(1), 0.0
+        )
 
     def test_loss_never_increases(self):
         rng = np.random.default_rng(0)
@@ -142,19 +153,22 @@ class TestLogisticRegression:
             y = (rng.random(40) < 0.5).astype(int)
             if y.min() == y.max():
                 continue
-            model = logreg_train(x, y, iterations=200)
-            assert model.final_loss <= model.initial_loss + 1e-12
+            [model] = logreg_train(x, y, iterations=200)
+            initial = log_loss(x, y, np.zeros(3), 0.0)
+            assert log_loss(x, y, model.weights, model.bias) <= initial + 1e-12
 
     def test_descent_matches_recomputed_loss(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(30, 2))
         y = (x[:, 0] + 0.3 * rng.normal(size=30) > 0).astype(int)
-        model = logreg_train(x, y)
-        z = x @ model.weights + model.bias
+        [model] = logreg_train(x, y)
+        prob = logreg_predict_proba(model, x)
         recomputed = float(
-            np.mean(np.logaddexp(0.0, np.where(y == 1, -z, z)))
+            np.mean(np.where(y == 1, -np.log(prob), -np.log1p(-prob)))
         )
-        assert model.final_loss == pytest.approx(recomputed)
+        assert log_loss(x, y, model.weights, model.bias) == pytest.approx(
+            recomputed
+        )
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
@@ -165,10 +179,79 @@ class TestLogisticRegression:
         x = rng.normal(size=(20, 2))
         y = (rng.random(20) < 0.5).astype(int)
         y[0], y[1] = 0, 1
-        a = logreg_train(x, y)
-        b = logreg_train(x, y)
+        [a] = logreg_train(x, y)
+        [b] = logreg_train(x, y)
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
+
+
+def blocked_fixture(dim, mode, edges, k, seed):
+    """Blocked features of random edges over a random table, noisy linear
+    labels, and a random fold per edge."""
+    rng = np.random.default_rng(seed)
+    emb = EmbeddingMatrix(values=rng.normal(size=(50, dim)))
+    us = rng.integers(0, 50, size=edges)
+    vs = (us + rng.integers(1, 50, size=edges)) % 50
+    blocks = edge_feature_blocks(emb, us, vs, mode)
+    flat = blocks.reshape(-1, blocks.shape[-1])[:edges]
+    score = flat @ rng.normal(size=flat.shape[1])
+    labels = (score + rng.normal(size=edges) > 0).astype(int)
+    fold_of = rng.integers(0, k, size=edges)
+    return blocks, flat, labels, fold_of
+
+
+class TestKModelFit:
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize(
+        "dim, mode, edges",
+        [(1, EdgeFeatureMode.HADAMARD, BLOCK_BYTES // 8 + 1000),
+         (8, EdgeFeatureMode.CONCAT, 5000)],
+    )
+    def test_each_column_matches_its_own_fit(self, dim, mode, edges, k):
+        blocks, flat, labels, fold_of = blocked_fixture(dim, mode, edges, k, k)
+        rows = blocks.shape[1]
+        assert rows == BLOCK_BYTES // (8 * flat.shape[1])
+        assert len(blocks) > 1 and edges % rows
+        mask = fold_of[:, None] != np.arange(k)[None, :]
+        models = logreg_train(blocks, labels, mask)
+        assert len(models) == k
+        for f, model in enumerate(models):
+            train = fold_of != f
+            expected = single_logreg(flat[train], labels[train])
+            np.testing.assert_allclose(
+                model.weights, expected.weights, rtol=1e-9, atol=1e-12
+            )
+            assert model.bias == pytest.approx(expected.bias, rel=1e-9)
+
+    def test_test_rows_do_not_reach_their_model(self):
+        k = 3
+        blocks, flat, labels, fold_of = blocked_fixture(
+            4, EdgeFeatureMode.L1, 3000, k, 7
+        )
+        mask = fold_of[:, None] != np.arange(k)[None, :]
+        before = logreg_train(blocks, labels, mask)
+        held = np.flatnonzero(fold_of == 1)
+        changed = blocks.copy()
+        changed.reshape(-1, blocks.shape[-1])[held] *= -3.0
+        after = logreg_train(changed, labels, mask)
+        assert np.array_equal(after[1].weights, before[1].weights)
+        assert after[1].bias == before[1].bias
+        assert not np.array_equal(after[0].weights, before[0].weights)
+
+    def test_single_class_column_named(self):
+        x = np.arange(6, dtype=float)[:, None]
+        y = np.array([0, 1, 0, 1, 1, 1])
+        mask = np.ones((6, 3), dtype=bool)
+        mask[:4, 2] = False
+        with pytest.raises(ValueError, match="column 2: .*both classes"):
+            logreg_train(x, y, mask)
+
+    def test_labels_must_fill_the_last_block(self):
+        blocks, _, labels, _ = blocked_fixture(
+            2, EdgeFeatureMode.AVERAGE, 100, 2, 0
+        )
+        with pytest.raises(ValueError, match="labels"):
+            logreg_train(blocks, labels[:0])
 
 
 class TestFoldMetrics:
@@ -267,6 +350,30 @@ class TestKfoldLinkPrediction:
         )
         assert report.mean_paper_micro_f1 > 0.95
         assert len(report.folds) == 3
+
+    @pytest.mark.parametrize("mode", list(EdgeFeatureMode))
+    def test_precomputed_matches_per_fold_oracle(self, mode):
+        g = random_connected_graph(60, 240, 5)
+        emb = EmbeddingMatrix(
+            values=np.random.default_rng(5).normal(size=(60, 3))
+        )
+        cfg = replace(FAST_CFG, seed=11)
+        report = kfold_link_prediction(g, 5, mode, cfg, embeddings=emb)
+        fold_ss = np.random.SeedSequence(cfg.seed).spawn(2 + 5)[0]
+        folds = stratified_edge_folds(g, 5, np.random.default_rng(fold_ss))
+        expected = per_fold_metrics(emb, g, folds, mode)
+        assert [f.to_dict() for f in report.folds] == [
+            f.to_dict() for f in expected
+        ]
+
+    def test_single_class_training_split_names_the_fold(self):
+        # the one negative edge is dealt to fold 0, whose training split
+        # then holds positives only
+        edges = [(0, 1, P), (1, 2, P), (2, 3, P), (0, 2, P), (1, 3, N)]
+        g = SignedGraph.from_edges(4, edges)
+        emb = embedding_from([[1.0], [2.0], [3.0], [4.0]])
+        with pytest.raises(ValueError, match="fold 0: .*single class"):
+            kfold_link_prediction(g, 2, train_cfg=FAST_CFG, embeddings=emb)
 
     def test_fast_and_strict_modes_run(self):
         g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=2)
