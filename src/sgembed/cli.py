@@ -277,7 +277,7 @@ def _cmd_check_theorems(args) -> int:
                 max_norm_dev, abs(float(p_pos.sum() + p_neg.sum()) - 1.0)
             )
             mass = table.cum_pos + table.cum_neg
-            rise = float((mass[tree.child_nodes] - mass[tree.parent_nodes]).max())
+            rise = float((mass[1:] - mass[tree.parent_pos[1:]]).max())
             max_decay_violation = max(max_decay_violation, rise)
     norm_ok = max_norm_dev <= args.tolerance
     decay_ok = max_decay_violation <= 1e-12

@@ -65,32 +65,23 @@ def sample_true_batch(
     return edge_batch(center, nbr, np.where(positive, 1, -1), True)
 
 
-def objective(emb: EmbeddingMatrix, batch: np.ndarray) -> float:
-    """Mean batch objective: log sigma(z) on true edges, log(1 - sigma(z))
-    on fake ones, with z = sign * d_u . d_v."""
-    z = batch["sign"] * np.einsum(
-        "ij,ij->i", emb.values[batch["u"]], emb.values[batch["v"]]
-    )
-    terms = np.where(
-        batch["true"], -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)
-    )
-    return float(terms.mean())
-
-
 def batch_gradient(emb: EmbeddingMatrix, batch: np.ndarray) -> tuple:
-    """Closed-form gradient of ``objective`` as ``(rows, grad)``: grad[i]
-    is row rows[i]'s, and every other row's gradient is zero."""
-    us, vs, signs = batch["u"], batch["v"], batch["sign"]
+    """Mean batch objective and its closed-form gradient as ``(rows, grad,
+    objective)``: grad[i] is row rows[i]'s, and every other row's gradient
+    is zero. The objective averages log sigma(z) over true edges and
+    log(1 - sigma(z)) over fake ones, with z = sign * d_u . d_v."""
+    us, vs, signs, true = batch["u"], batch["v"], batch["sign"], batch["true"]
     rows = np.unique(np.concatenate([us, vs]))
     iu, iv = np.searchsorted(rows, us), np.searchsorted(rows, vs)
     values = emb.values[rows]
     z = signs * np.einsum("ij,ij->i", values[iu], values[iv])
     s = _sigmoid(z)
-    coef = np.where(batch["true"], 1.0 - s, -s) * signs / len(batch)
+    coef = np.where(true, 1.0 - s, -s) * signs / len(batch)
     grad = np.zeros_like(values)
     np.add.at(grad, iu, coef[:, None] * values[iv])
     np.add.at(grad, iv, coef[:, None] * values[iu])
-    return rows, grad
+    terms = np.where(true, -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z))
+    return rows, grad, float(terms.mean())
 
 
 @dataclass
@@ -107,8 +98,7 @@ def update(
     batch's endpoint rows are read, written and checked for finiteness."""
     if not len(batch):
         raise ValueError("batch must be nonempty")
-    value = objective(emb, batch)
-    rows, grad = batch_gradient(emb, batch)
+    rows, grad, value = batch_gradient(emb, batch)
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite discriminator gradient")
     emb.values[rows] += learning_rate * grad

@@ -77,7 +77,13 @@ class EmbeddingMatrix:
             ]
         if not lines:
             raise ValueError(f"{path}: empty embedding file")
-        rows, dim = (int(x) for x in lines[0][1].split())
+        lineno, header = lines[0]
+        fields = header.split()
+        if len(fields) != 2 or not all(f.isdecimal() for f in fields):
+            raise ValueError(
+                f"{path}:{lineno}: bad header {header!r}, expected 'rows dim'"
+            )
+        rows, dim = (int(x) for x in fields)
         if len(lines) - 1 != rows:
             raise ValueError(
                 f"{path}: header declares {rows} rows, found {len(lines) - 1}"
@@ -94,10 +100,15 @@ class EmbeddingMatrix:
         seen = np.zeros(rows, dtype=bool)
         for lineno, ln in lines[1:]:
             parts = ln.split()
-            i = int(parts[0])
+            try:
+                i, coords = int(parts[0]), [float(x) for x in parts[1:]]
+            except ValueError:
+                i = -1
             if not 0 <= i < rows or len(parts) != dim + 1:
                 raise ValueError(f"{path}:{lineno}: bad embedding line {ln!r}")
-            values[i] = [float(x) for x in parts[1:]]
+            if seen[i]:
+                raise ValueError(f"{path}:{lineno}: repeated node row {i}")
+            values[i] = coords
             if not np.isfinite(values[i]).all():
                 raise ValueError(f"{path}:{lineno}: non-finite coordinate")
             seen[i] = True
@@ -144,8 +155,8 @@ def walk_logprob_gradient(
     rewards: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """sum_i rewards[i] * d log P(walk i) / d theta as ``(rows, grad)``:
-    grad[r] is node rows[r]'s, for the nodes ``touched_nodes`` names, and
-    every other row's gradient is zero.
+    grad[r] is node rows[r]'s, for the nodes at the BFS positions
+    ``touched_nodes`` names, and every other row's gradient is zero.
 
     A walk's log-probability is the sum of per-hop softmax
     log-probabilities; each hop at node a toward (b, t) contributes
@@ -153,29 +164,28 @@ def walk_logprob_gradient(
         d/d g_b += t*g_a
         d/d g_j -= q_j * g_a   for every tree neighbor j of a,
     with the step probabilities read from the batch's table, which must
-    have been built from ``emb``. Every term pairs two nodes, so hop terms
-    and neighbor terms (weighted by the reward leaving each node) go into
-    ``grad`` in one symmetric scatter, over flat (row, column) slots so that
-    ``np.add.at`` takes numpy's fast 1-D path.
+    have been built from ``emb``. Every term pairs two tree positions, so
+    hop terms and neighbor terms (weighted by the reward leaving each
+    position) go into ``grad`` in one symmetric scatter, over flat (row,
+    column) slots so that ``np.add.at`` takes numpy's fast 1-D path.
     """
-    values = emb.values
-    src, dst = batch.tree.directed_edges()
-    pos, neg = batch.table.directed()
+    tree, table = batch.tree, batch.table
+    src, dst = tree.directed_edges()
     weight = np.repeat(rewards, np.diff(batch.hop_ptr))
     hop_src = src[batch.hops]
-    leaving = np.bincount(hop_src, weights=weight, minlength=len(values))
+    leaving = np.bincount(hop_src, weights=weight, minlength=tree.covered_count)
     nbr = np.flatnonzero(leaving[src])
     x = np.concatenate([hop_src, src[nbr]])
     y = np.concatenate([dst[batch.hops], dst[nbr]])
-    coef = np.concatenate(
-        [weight * batch.step_signs, -leaving[src[nbr]] * (pos[nbr] - neg[nbr])]
-    )[:, None]
-    rows = touched_nodes(batch.tree, hop_src)
-    grad = np.zeros((len(rows), emb.dim))
-    slots = np.searchsorted(rows, np.concatenate([x, y]))[:, None] * emb.dim
-    terms = np.concatenate([coef, coef]) * values[np.concatenate([y, x])]
+    q = table.pos[nbr] - table.neg[nbr]
+    coef = np.concatenate([weight * batch.step_signs, -leaving[src[nbr]] * q])
+    touched = touched_nodes(tree, hop_src)
+    grad = np.zeros((len(touched), emb.dim))
+    slots = np.searchsorted(touched, np.concatenate([x, y]))[:, None] * emb.dim
+    other = emb.values[tree.order[np.concatenate([y, x])]]
+    terms = np.concatenate([coef, coef])[:, None] * other
     np.add.at(grad.reshape(-1), (slots + np.arange(emb.dim)).ravel(), terms.ravel())
-    return rows, grad
+    return tree.order[touched], grad
 
 
 def policy_gradient_update(

@@ -108,7 +108,12 @@ class TrainConfig:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
-                overrides[key.strip()] = value.strip()
+                key, value = key.strip(), value.strip()
+                try:
+                    cls().merged({key: value})
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                overrides[key] = value
         return cls().merged(overrides)
 
     def merged(self, overrides: dict[str, str]) -> "TrainConfig":
@@ -131,14 +136,17 @@ def _format_value(value) -> str:
 
 
 def _parse_value(key: str, text: str):
-    if key == "max_tree_depth":
-        return None if text.lower() in ("", "none") else int(text)
-    if key == "reward_clamp":
-        lo, hi = (float(x) for x in text.split(","))
-        return (lo, hi)
-    if key in ("learning_rate",):
-        return float(text)
-    return int(text)
+    try:
+        if key == "max_tree_depth":
+            return None if text.lower() in ("", "none") else int(text)
+        if key == "reward_clamp":
+            lo, hi = (float(x) for x in text.split(","))
+            return (lo, hi)
+        if key in ("learning_rate",):
+            return float(text)
+        return int(text)
+    except ValueError:
+        raise ValueError(f"config key {key}: bad value {text!r}") from None
 
 
 @dataclass

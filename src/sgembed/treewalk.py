@@ -31,20 +31,21 @@ from .sgraph import SignedGraph
 
 @dataclass
 class BfsTree:
-    """Shortest-path tree rooted at ``root``.
+    """Shortest-path tree of the root's (possibly depth-capped) component.
 
-    Tree edges are indexed 0..T-1 in discovery order; edge e joins
-    child_nodes[e] to parent_nodes[e]. ``order`` lists covered nodes in BFS
-    discovery order (order[0] == root).
+    Every array is indexed by BFS position: ``order[i]`` is the i-th
+    covered node in discovery order (``order[0]`` is the root),
+    ``parent_pos[i]`` the position of its parent (-1 at the root) and
+    ``level[i]`` its depth. Tree edge e joins position e + 1 to its parent.
     """
 
-    root: int
-    parent: np.ndarray
-    level: np.ndarray
     order: np.ndarray
-    child_nodes: np.ndarray
-    parent_nodes: np.ndarray
-    edge_of_child: np.ndarray
+    parent_pos: np.ndarray
+    level: np.ndarray
+
+    @property
+    def root(self) -> int:
+        return int(self.order[0])
 
     @property
     def covered_count(self) -> int:
@@ -52,18 +53,17 @@ class BfsTree:
 
     @property
     def depth(self) -> int:
-        return int(self.level[self.order].max())
+        return int(self.level[-1])
 
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """(source, destination) of every directed tree edge.
+        """(source, destination) positions of every directed tree edge.
 
         Id e < T steps down tree edge e (parent -> child); id T + e steps
         back up it (child -> parent).
         """
-        return (
-            np.concatenate([self.parent_nodes, self.child_nodes]),
-            np.concatenate([self.child_nodes, self.parent_nodes]),
-        )
+        child = np.arange(1, len(self.order))
+        parent = self.parent_pos[1:]
+        return np.concatenate([parent, child]), np.concatenate([child, parent])
 
 
 def build_bfs_tree(
@@ -79,91 +79,72 @@ def build_bfs_tree(
     """
     if not 0 <= root < g.node_count:
         raise ValueError(f"root {root} outside [0,{g.node_count})")
-    n = g.node_count
-    parent = np.full(n, -1, dtype=np.int64)
-    level = np.full(n, -1, dtype=np.int64)
-    level[root] = 0
     # position of each node's first occurrence in its discovery level's
-    # list; a node is discovered in one level only, so this is never reset
-    first_at = np.full(n, np.iinfo(np.int64).max)
+    # list, the unset maximum while undiscovered; a node is discovered in
+    # one level only, so this is never reset
+    unset = np.iinfo(np.int64).max
+    first_at = np.full(g.node_count, unset)
+    first_at[root] = 0
     frontier = np.array([root], dtype=np.int64)
-    levels = [frontier]
-    depth = 0
-    while len(frontier) and (max_depth is None or depth < max_depth):
+    levels, parents, base = [frontier], [np.array([-1])], 0
+    while len(frontier) and (max_depth is None or len(levels) <= max_depth):
         start = g.indptr[frontier]
         sizes = g.indptr[frontier + 1] - start
         # slot k of node i's neighbor list sits at start[i] + k
         offsets = np.repeat(start - np.cumsum(sizes) + sizes, sizes)
         found = g.indices[np.arange(sizes.sum()) + offsets]
-        by = np.repeat(frontier, sizes)
-        new = level[found] < 0
+        # the BFS position of the frontier node that found each neighbor
+        by = np.repeat(np.arange(base, base + len(frontier)), sizes)
+        new = first_at[found] == unset
         found, by = found[new], by[new]
         position = np.arange(len(found))
         np.minimum.at(first_at, found, position)
         first = np.flatnonzero(first_at[found] == position)
+        base += len(frontier)
         frontier = found[first]
-        depth += 1
-        level[frontier] = depth
-        parent[frontier] = by[first]
         levels.append(frontier)
-
-    order = np.concatenate(levels)
-    child_nodes = order[1:].copy()
-    edge_of_child = np.full(n, -1, dtype=np.int64)
-    edge_of_child[child_nodes] = np.arange(len(child_nodes))
+        parents.append(by[first])
     return BfsTree(
-        root=root,
-        parent=parent,
-        level=level,
-        order=order,
-        child_nodes=child_nodes,
-        parent_nodes=parent[child_nodes],
-        edge_of_child=edge_of_child,
+        order=np.concatenate(levels),
+        parent_pos=np.concatenate(parents),
+        level=np.repeat(np.arange(len(levels)), [len(x) for x in levels]),
     )
 
 
 @dataclass
 class RelevanceTable:
-    """Per-tree-edge step probabilities plus cumulative root-to-node mass.
+    """Per-directed-edge step probabilities plus cumulative root mass.
 
-    down_* arrays hold the parent->child step probabilities per tree edge,
-    up_* the child->parent direction. cum_pos/cum_neg hold the
-    balance-composed probability of reaching each node from the root with
-    Positive / Negative composed sign (root itself carries the identity
+    ``pos``/``neg`` hold the probability of stepping along each directed
+    tree edge (ids as in ``BfsTree.directed_edges``) with a Positive /
+    Negative sign. ``cum_pos``/``cum_neg`` hold, per BFS position, the
+    balance-composed probability of reaching that node from the root with
+    Positive / Negative composed sign (the root carries the identity
     (1, 0)).
     """
 
-    down_pos: np.ndarray
-    down_neg: np.ndarray
-    up_pos: np.ndarray
-    up_neg: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
     cum_pos: np.ndarray
     cum_neg: np.ndarray
-
-    def directed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(p_pos, p_neg) per directed tree edge id, see
-        ``BfsTree.directed_edges``."""
-        return (
-            np.concatenate([self.down_pos, self.up_pos]),
-            np.concatenate([self.down_neg, self.up_neg]),
-        )
 
 
 def relevance_table(emb, tree: BfsTree) -> RelevanceTable:
     """Build and propagate the full relevance table for one tree."""
-    values, t, n = emb.values, len(tree.child_nodes), len(emb.values)
+    values, c = emb.values, tree.covered_count
     dots = np.einsum(
-        "ij,ij->i", values[tree.parent_nodes], values[tree.child_nodes]
+        "ij,ij->i",
+        values[tree.order[tree.parent_pos[1:]]],
+        values[tree.order[1:]],
     )
     src, _ = tree.directed_edges()
     dots = np.concatenate([dots, dots])  # per directed edge
     # per-node shift keeps exp arguments <= 0 even for |dot| > 700
-    shift = np.zeros(n)
+    shift = np.zeros(c)
     np.maximum.at(shift, src, np.abs(dots))
     pos, neg = np.exp(dots - shift[src]), np.exp(-dots - shift[src])
-    denom = np.bincount(src, pos + neg, n)[src]
-    pos, neg = pos / denom, neg / denom
-    table = RelevanceTable(pos[:t], neg[:t], pos[t:], neg[t:], *np.zeros((2, n)))
+    denom = np.bincount(src, pos + neg, c)[src]
+    table = RelevanceTable(pos / denom, neg / denom, *np.zeros((2, c)))
     return propagate(table, tree)
 
 
@@ -174,19 +155,17 @@ def propagate(table: RelevanceTable, tree: BfsTree) -> RelevanceTable:
     with the balance rule: the Positive cumulative value sums the
     same-sign products, the Negative one the cross-sign products.
     """
-    table.cum_pos[tree.root] = 1.0
-    table.cum_neg[tree.root] = 0.0
-    if len(tree.child_nodes) == 0:
-        return table
-    # child_nodes is in BFS order, so each level is one contiguous slice
-    levels = tree.level[tree.child_nodes]
-    bounds = np.searchsorted(levels, np.arange(1, levels[-1] + 2)).tolist()
+    table.cum_pos[0] = 1.0
+    table.cum_neg[0] = 0.0
+    # positions are in BFS order, so each level is one contiguous slice,
+    # and the edge into position i is edge i - 1
+    bounds = np.searchsorted(tree.level, np.arange(1, tree.depth + 2)).tolist()
     for lo, hi in zip(bounds, bounds[1:]):
-        c, p = tree.child_nodes[lo:hi], tree.parent_nodes[lo:hi]
+        p = tree.parent_pos[lo:hi]
         cp, cn = table.cum_pos[p], table.cum_neg[p]
-        dp, dn = table.down_pos[lo:hi], table.down_neg[lo:hi]
-        table.cum_pos[c] = cp * dp + cn * dn
-        table.cum_neg[c] = cp * dn + cn * dp
+        dp, dn = table.pos[lo - 1 : hi - 1], table.neg[lo - 1 : hi - 1]
+        table.cum_pos[lo:hi] = cp * dp + cn * dn
+        table.cum_neg[lo:hi] = cp * dn + cn * dp
     return table
 
 
@@ -194,12 +173,13 @@ def tree_distribution(table: RelevanceTable, tree: BfsTree):
     """All (node, sign) tree-softmax values at once.
 
     Returns (nodes, p_positive, p_negative) arrays aligned with the tree's
-    non-root covered nodes. The two probability arrays sum to 1 together.
+    non-root covered nodes in BFS order, so entry e belongs to tree edge
+    e. The two probability arrays sum to 1 together.
     """
-    c = tree.child_nodes
-    cp, cn = table.cum_pos[c], table.cum_neg[c]
-    up, un = table.up_pos, table.up_neg
-    return c, cp * up + cn * un, cp * un + cn * up
+    t = tree.covered_count - 1
+    cp, cn = table.cum_pos[1:], table.cum_neg[1:]
+    up, un = table.pos[t:], table.neg[t:]
+    return tree.order[1:], cp * up + cn * un, cp * un + cn * up
 
 
 @dataclass
@@ -242,21 +222,20 @@ def sample_walk(
     cum = np.cumsum(p_pos + p_neg)
     edge = np.searchsorted(cum, rng.random(count) * cum[-1], side="right")
     edge = np.minimum(edge, len(cum) - 1)
-    targets = tree.child_nodes[edge]
+    target = edge + 1  # tree edge e enters BFS position e + 1
     hop_ptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(tree.level[targets] + 1, out=hop_ptr[1:])
+    np.cumsum(tree.level[target] + 1, out=hop_ptr[1:])
     hops = np.empty(hop_ptr[-1], dtype=np.int64)
     back = hop_ptr[1:] - 1
     hops[back] = edge + len(cum)
-    # fill each path bottom-up, one tree level per pass
-    cur, at = edge, back - 1
+    # fill each path bottom-up, one tree level per pass, until the root
+    cur, at = target, back - 1
     while len(cur):
-        hops[at] = cur
-        cur = tree.edge_of_child[tree.parent_nodes[cur]]
-        keep = cur >= 0
+        hops[at] = cur - 1
+        cur = tree.parent_pos[cur]
+        keep = cur > 0
         cur, at = cur[keep], at[keep] - 1
-    pos, neg = table.directed()
-    pos, neg = pos[hops], neg[hops]
+    pos, neg = table.pos[hops], table.neg[hops]
     if not np.isfinite(cum[-1] + pos.sum() + neg.sum()):
         raise FloatingPointError(
             f"non-finite step probabilities in the tree of {tree.root}"
@@ -266,7 +245,7 @@ def sample_walk(
     return WalkBatch(
         tree=tree,
         table=table,
-        targets=targets,
+        targets=tree.order[target],
         signs=np.multiply.reduceat(step_signs, hop_ptr[:-1]),
         hops=hops,
         step_signs=step_signs,
@@ -274,12 +253,13 @@ def sample_walk(
     )
 
 
-def touched_nodes(tree: BfsTree, nodes) -> np.ndarray:
-    """Sorted nodes whose embeddings a gradient from ``nodes`` touches.
-
-    The nodes themselves plus every tree neighbor of one of them.
-    """
-    visited = np.zeros(len(tree.level), dtype=bool)
-    visited[nodes] = True
-    c, p = tree.child_nodes, tree.parent_nodes
-    return np.union1d(nodes, np.concatenate([c[visited[p]], p[visited[c]]]))
+def touched_nodes(tree: BfsTree, positions) -> np.ndarray:
+    """Sorted BFS positions whose embeddings a gradient from ``positions``
+    touches: the positions themselves plus every tree neighbor of one."""
+    visited = np.zeros(tree.covered_count, dtype=bool)
+    visited[positions] = True
+    parent = tree.parent_pos[1:]
+    touched = visited.copy()
+    touched[1:] |= visited[parent]
+    touched[parent[visited[1:]]] = True
+    return np.flatnonzero(touched)

@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 
 from sgembed import Sign, WalkBatch, touched_nodes
-from sgembed.discriminator import DiscriminatorUpdateReport, _sigmoid, objective
+from sgembed.discriminator import DiscriminatorUpdateReport, _sigmoid
 from sgembed.evalkit import (
     LogisticModel,
     edge_feature_matrix,
@@ -54,11 +54,29 @@ def queue_bfs(g, root, max_depth=None):
     return parent, level, order
 
 
+def node_indexed(tree, node_count):
+    """A compact tree's node-indexed (parent, level, edge_of_child) arrays:
+    parent and level by node id, with -1 at the root's parent and at
+    uncovered nodes, and the id of the tree edge entering each non-root
+    covered node (edge e enters order[e + 1])."""
+    parent = [-1] * node_count
+    level = [-1] * node_count
+    edge_of_child = [-1] * node_count
+    order = tree.order.tolist()
+    for i, v in enumerate(order):
+        level[v] = int(tree.level[i])
+        if i:
+            parent[v] = order[int(tree.parent_pos[i])]
+            edge_of_child[v] = i - 1
+    return np.array(parent), np.array(level), np.array(edge_of_child)
+
+
 def step_distribution(values, tree, node):
     """Single-hop relevance at ``node`` over (tree neighbor, sign) pairs."""
-    nbrs = tree.child_nodes[tree.parent_nodes == node].tolist()
-    if tree.parent[node] >= 0:
-        nbrs.append(int(tree.parent[node]))
+    parent, _, _ = node_indexed(tree, len(values))
+    nbrs = [v for v in tree.order.tolist() if parent[v] == node]
+    if parent[node] >= 0:
+        nbrs.append(int(parent[node]))
     weights = {}
     denom = 0.0
     for b in nbrs:
@@ -72,12 +90,13 @@ def step_distribution(values, tree, node):
 
 def root_path(tree, target):
     """Unique tree path from the root to ``target``."""
+    parent, _, _ = node_indexed(tree, max(int(tree.order.max()), target) + 1)
     path = [target]
     while path[-1] != tree.root:
-        parent = int(tree.parent[path[-1]])
-        if parent < 0:
+        parent_node = int(parent[path[-1]])
+        if parent_node < 0:
             raise ValueError(f"{target} unreachable from root")
-        path.append(parent)
+        path.append(parent_node)
     return list(reversed(path))
 
 
@@ -147,8 +166,9 @@ def walk_probability(values, tree, path, signs):
 def walk_hops(tree, path):
     """Directed tree edge ids of the walk along ``path``: one per descent,
     then the back-step (ids as in ``BfsTree.directed_edges``)."""
-    edges = [int(tree.edge_of_child[v]) for v in path[1:]]
-    return edges + [edges[-1] + len(tree.child_nodes)]
+    _, _, edge_of_child = node_indexed(tree, int(tree.order.max()) + 1)
+    edges = [int(edge_of_child[v]) for v in path[1:]]
+    return edges + [edges[-1] + tree.covered_count - 1]
 
 
 def walk_batch(tree, table, walks):
@@ -313,13 +333,13 @@ def dense_walk_logprob_gradient(emb, batch, rewards, out):
     ``np.add.at``."""
     values = emb.values
     src, dst = batch.tree.directed_edges()
-    pos, neg = batch.table.directed()
+    pos, neg = batch.table.pos, batch.table.neg
     weight = np.repeat(rewards, np.diff(batch.hop_ptr))
     hop_src = src[batch.hops]
-    leaving = np.bincount(hop_src, weights=weight, minlength=len(values))
+    leaving = np.bincount(hop_src, weights=weight, minlength=len(batch.tree.order))
     nbr = np.flatnonzero(leaving[src])
-    x = np.concatenate([hop_src, src[nbr]])
-    y = np.concatenate([dst[batch.hops], dst[nbr]])
+    x = batch.tree.order[np.concatenate([hop_src, src[nbr]])]
+    y = batch.tree.order[np.concatenate([dst[batch.hops], dst[nbr]])]
     coef = np.concatenate(
         [weight * batch.step_signs, -leaving[src[nbr]] * (pos[nbr] - neg[nbr])]
     )[:, None]
@@ -327,8 +347,21 @@ def dense_walk_logprob_gradient(emb, batch, rewards, out):
     np.add.at(out, y, coef * values[x])
 
 
+def objective(emb, batch):
+    """Mean batch objective of ``discriminator.batch_gradient``: log
+    sigma(z) on true edges, log(1 - sigma(z)) on fake ones, with
+    z = sign * d_u . d_v."""
+    z = batch["sign"] * np.einsum(
+        "ij,ij->i", emb.values[batch["u"]], emb.values[batch["v"]]
+    )
+    terms = np.where(
+        batch["true"], -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)
+    )
+    return float(terms.mean())
+
+
 def dense_batch_gradient(emb, batch):
-    """Full-table gradient of ``discriminator.objective``."""
+    """Full-table gradient of ``objective``."""
     us, vs, signs = batch["u"], batch["v"], batch["sign"]
     z = signs * np.einsum("ij,ij->i", emb.values[us], emb.values[vs])
     s = _sigmoid(z)

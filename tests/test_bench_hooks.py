@@ -21,3 +21,17 @@ import tracing  # noqa: E402
 )
 def test_hooked_name_exists(owner, attr):
     assert attr in vars(tracing._resolve(owner)), f"{owner}.{attr} is gone"
+
+
+def test_workload_tree_reads_run_in_process():
+    # the workloads read tree and table attributes outside any hook; a
+    # renamed one fails here rather than in a benchmark run
+    import workloads
+    from sgembed import build_bfs_tree, init_embeddings, random_connected_graph
+
+    g = random_connected_graph(12, 18, 0)
+    emb = init_embeddings(12, 4, 0)
+    assert workloads.input_stats(g, seed=0)["mean_bfs_depth"] > 0
+    checks = workloads._check_tables(g, emb, {"theta": emb}, seed=0)
+    assert [ok for _, ok, _ in checks] == [True, True]
+    assert tracing._tree_mb(build_bfs_tree(g, 0)) > 0

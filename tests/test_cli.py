@@ -184,3 +184,12 @@ def test_bad_config_value_reports_failure(tmp_path, graph_file, caplog):
     ])
     assert rc == 1
     assert "unknown config key" in caplog.text
+
+
+def test_unparsable_config_value_names_its_key(tmp_path, graph_file, caplog):
+    rc = main([
+        "train", "--graph", str(graph_file), "--set", "embedding_dim=abc",
+        "--output-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "config key embedding_dim: bad value 'abc'" in caplog.text

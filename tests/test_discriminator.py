@@ -14,9 +14,9 @@ from sgembed import (
     init_embeddings,
     sample_true_batch,
 )
-from sgembed.discriminator import _sigmoid, batch_gradient, objective, update
+from sgembed.discriminator import _sigmoid, batch_gradient, update
 
-from oracles import scatter_rows
+from oracles import objective, scatter_rows
 
 P, N = Sign.POSITIVE, Sign.NEGATIVE
 
@@ -195,7 +195,8 @@ class TestUpdate:
             (2, 3, N, False),
             (1, 2, N, False),
         )
-        grad = scatter_rows(*batch_gradient(emb, batch), emb.rows)
+        rows, block, _ = batch_gradient(emb, batch)
+        grad = scatter_rows(rows, block, emb.rows)
         h = 1e-6
         fd = np.zeros_like(grad)
         for i in range(emb.rows):

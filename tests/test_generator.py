@@ -97,6 +97,25 @@ class TestEmbeddingIO:
         with pytest.raises(ValueError):
             EmbeddingMatrix.load(path)
 
+    @pytest.mark.parametrize("header", ["3", "3 two", "2 2 1", "-1 2"])
+    def test_load_names_a_bad_header_line(self, tmp_path, header):
+        path = tmp_path / "bad.emb"
+        path.write_text(f"# comment\n{header}\n0 0.5 0.5\n1 0.25 0.75\n")
+        with pytest.raises(ValueError, match=r"bad\.emb:2: bad header"):
+            EmbeddingMatrix.load(path)
+
+    def test_load_names_a_repeated_row(self, tmp_path):
+        path = tmp_path / "bad.emb"
+        path.write_text("2 2\n0 0.5 0.5\n0 0.25 0.75\n")
+        with pytest.raises(ValueError, match=r"bad\.emb:3: repeated node row 0"):
+            EmbeddingMatrix.load(path)
+
+    def test_load_names_an_unparsable_coordinate(self, tmp_path):
+        path = tmp_path / "bad.emb"
+        path.write_text("2 2\n0 0.5 0.5\n1 0.25 x\n")
+        with pytest.raises(ValueError, match=r"bad\.emb:3: bad embedding line"):
+            EmbeddingMatrix.load(path)
+
     def test_load_zero_rows_without_warning(self, tmp_path):
         path = tmp_path / "empty.emb"
         path.write_text("0 3\n")
@@ -119,7 +138,7 @@ class TestGenerateFakes:
         fakes = fakes_at(g, emb, 3, 20, 0)
         assert len(fakes) == 20
         assert fakes.tree.root == 3
-        src, dst = fakes.tree.directed_edges()
+        src, dst = (fakes.tree.order[x] for x in fakes.tree.directed_edges())
         for i, target in enumerate(fakes.targets.tolist()):
             hops = fakes.hops[fakes.hop_ptr[i] : fakes.hop_ptr[i + 1]]
             assert src[hops[0]] == 3
@@ -225,9 +244,11 @@ class TestPolicyGradientUpdate:
         emb = init_embeddings(20, 4, 3)
         fakes = fakes_at(g, emb, 5, 3, 1)
         touched = set()
+        order = fakes.tree.order
+        position = {v: i for i, v in enumerate(order.tolist())}
         for target in fakes.targets.tolist():
-            walk_nodes = root_path(fakes.tree, target)
-            touched |= set(touched_nodes(fakes.tree, walk_nodes).tolist())
+            walk = [position[v] for v in root_path(fakes.tree, target)]
+            touched |= set(order[touched_nodes(fakes.tree, walk)].tolist())
         before = emb.values.copy()
         report = policy_gradient_update(emb, fakes, np.full(3, -2.0), 0.5)
         changed = {

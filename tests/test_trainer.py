@@ -27,7 +27,6 @@ from sgembed import (
     train,
 )
 from sgembed import discriminator, generator
-from sgembed.discriminator import objective
 from sgembed.generator import init_embeddings
 from sgembed.trainer import TrainState
 
@@ -39,7 +38,7 @@ P, N = Sign.POSITIVE, Sign.NEGATIVE
 
 def score(emb, u, v, sign):
     """D's score sigma(sign * d_u . d_v), as exp of a one-edge objective."""
-    return math.exp(objective(emb, edge_batch([u], [v], [sign], [True])))
+    return math.exp(oracles.objective(emb, edge_batch([u], [v], [sign], [True])))
 
 SMALL = TrainConfig(
     embedding_dim=4,
@@ -84,6 +83,31 @@ class TestTrainConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             TrainConfig().merged({"momentum": "0.9"})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("embedding_dim", "abc"),
+            ("reward_clamp", "1"),
+            ("learning_rate", "fast"),
+            ("max_tree_depth", "2.5"),
+        ],
+    )
+    def test_bad_value_names_its_key_and_line(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=f"config key {key}: bad value"):
+            TrainConfig().merged({key: value})
+        path = tmp_path / "train.cfg"
+        path.write_text(f"# comment\nseed=1\n{key}={value}\n")
+        with pytest.raises(
+            ValueError, match=rf"train\.cfg:3: config key {key}: bad value"
+        ):
+            TrainConfig.from_file(path)
+
+    def test_unknown_key_in_a_file_names_its_line(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("seed=1\nmomentum=0.9\n")
+        with pytest.raises(ValueError, match=r"train\.cfg:2: unknown config key"):
+            TrainConfig.from_file(path)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -305,7 +329,7 @@ class TestCheckpoint:
 
         def poisoned_table(emb, tree):
             table = relevance_table(emb, tree)
-            table.down_pos[0] = np.nan
+            table.pos[0] = np.nan
             return table
 
         monkeypatch.setattr(generator, "relevance_table", poisoned_table)
@@ -426,7 +450,9 @@ class TestTouchedRowsStep:
         oracles.dense_policy_gradient_update(dense, fakes, rewards, 0.5)
         assert j_emb.values.tobytes() == dense.values.tobytes()
         src, _ = fakes.tree.directed_edges()
-        touched = generator.touched_nodes(fakes.tree, src[fakes.hops])
+        touched = fakes.tree.order[
+            generator.touched_nodes(fakes.tree, src[fakes.hops])
+        ]
         assert rep.nodes_touched == len(touched) < 40
         outside = np.setdiff1d(np.arange(40), touched)
         assert (

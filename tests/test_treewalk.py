@@ -24,6 +24,7 @@ from oracles import (
     batch_walks,
     enumerate_walks,
     naive_modified_softmax,
+    node_indexed,
     queue_bfs,
     root_path,
     step_distribution,
@@ -54,15 +55,21 @@ def softmax_at(table, tree, target, sign):
 def step_prob(table, tree, a, b, sign):
     """Single-hop relevance of tree neighbor b from a, read from the
     table's directed-edge arrays."""
-    src, dst = tree.directed_edges()
+    src, dst = (tree.order[x] for x in tree.directed_edges())
     (e,) = np.flatnonzero((src == a) & (dst == b))
-    pos, neg = table.directed()
-    return float((pos if sign == 1 else neg)[e])
+    return float((table.pos if sign == 1 else table.neg)[e])
 
 
 def tree_neighbors(tree, a):
-    src, dst = tree.directed_edges()
+    src, dst = (tree.order[x] for x in tree.directed_edges())
     return dst[src == a].tolist()
+
+
+def cum_by_node(table, tree, node_count):
+    """The table's (cum_pos, cum_neg) indexed by node id, 0 off the tree."""
+    out = np.zeros((2, node_count))
+    out[:, tree.order] = table.cum_pos, table.cum_neg
+    return out
 
 
 def covered(tree):
@@ -79,11 +86,12 @@ def to_networkx(g):
 class TestBfsTree:
     def test_path_graph_levels_and_parents(self):
         tree = build_bfs_tree(path_graph(3), 0)
-        assert tree.level[0] == 0
-        assert tree.level[1] == 1
-        assert tree.level[2] == 2
-        assert tree.parent[2] == 1
-        assert tree.parent[0] == -1
+        parent, level, _ = node_indexed(tree, 3)
+        assert level[0] == 0
+        assert level[1] == 1
+        assert level[2] == 2
+        assert parent[2] == 1
+        assert parent[0] == -1
 
     def test_isolated_root(self):
         g = SignedGraph.from_edges(3, [(1, 2, P)])
@@ -97,23 +105,28 @@ class TestBfsTree:
         dist = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
         for root in range(0, 20, 5):
             tree = build_bfs_tree(g, root)
+            _, level, _ = node_indexed(tree, g.node_count)
             for v in range(g.node_count):
-                assert tree.level[v] == dist[root][v]
+                assert level[v] == dist[root][v]
 
     def test_children_parent_consistency(self):
         g = random_connected_graph(25, 30, 7)
         tree = build_bfs_tree(g, 3)
+        parent, level, _ = node_indexed(tree, g.node_count)
+        child_nodes = tree.order[1:]
+        parent_nodes = parent[child_nodes]
         for v in tree.order.tolist():
-            for c in tree.child_nodes[tree.parent_nodes == v].tolist():
-                assert tree.parent[c] == v
-                assert tree.level[c] == tree.level[v] + 1
+            for c in child_nodes[parent_nodes == v].tolist():
+                assert parent[c] == v
+                assert level[c] == level[v] + 1
 
     def test_every_covered_non_root_has_one_parent(self):
         g = random_connected_graph(30, 45, 1)
         tree = build_bfs_tree(g, 0)
+        parent, _, _ = node_indexed(tree, g.node_count)
         for v in tree.order.tolist():
             if v != tree.root:
-                assert tree.parent[v] >= 0
+                assert parent[v] >= 0
 
     def test_covered_restricted_to_component(self):
         g = SignedGraph.from_edges(5, [(0, 1, P), (2, 3, N), (3, 4, P)])
@@ -129,7 +142,7 @@ class TestBfsTree:
         g = SignedGraph.from_edges(4, [(0, 2, P), (0, 1, P), (1, 3, P), (2, 3, N)])
         tree = build_bfs_tree(g, 0)
         # node 3 reachable via 1 or 2; ascending order explores 1 first
-        assert tree.parent[3] == 1
+        assert node_indexed(tree, 4)[0][3] == 1
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("max_depth", [None, 1, 2, 3])
@@ -150,9 +163,22 @@ class TestBfsTree:
         for root in range(n):
             tree = build_bfs_tree(g, root, max_depth)
             parent, level, order = queue_bfs(g, root, max_depth)
-            assert tree.parent.tolist() == parent
-            assert tree.level.tolist() == level
+            tree_parent, tree_level, _ = node_indexed(tree, n)
+            assert tree_parent.tolist() == parent
+            assert tree_level.tolist() == level
             assert tree.order.tolist() == order
+
+    def test_arrays_are_covered_sized(self):
+        # two components plus isolated nodes: every per-tree array holds
+        # one entry per covered node, whatever the graph's size
+        g = SignedGraph.from_edges(
+            9, [(0, 1, P), (1, 2, N), (0, 3, P), (5, 6, N), (6, 7, P)]
+        )
+        for root in range(9):
+            tree = build_bfs_tree(g, root)
+            arrays = [a for a in vars(tree).values() if isinstance(a, np.ndarray)]
+            assert len(arrays) == 3
+            assert {len(a) for a in arrays} == {tree.covered_count}
 
 
 class TestRelevance:
@@ -185,7 +211,7 @@ class TestRelevance:
         tree = build_bfs_tree(path_graph(3), 0)
         table = relevance_table(init_embeddings(3, 2, 0), tree)
         # 0 and 2 are not tree-adjacent: no directed tree edge joins them
-        src, dst = tree.directed_edges()
+        src, dst = (tree.order[x] for x in tree.directed_edges())
         assert not ((src == 0) & (dst == 2)).any()
         assert tree_neighbors(tree, 0) == [1]
 
@@ -223,30 +249,29 @@ class TestRelevance:
         table = relevance_table(emb, tree)
         assert step_prob(table, tree, 0, 1, P) == pytest.approx(1.0)
         assert step_prob(table, tree, 0, 1, N) == pytest.approx(0.0, abs=1e-300)
-        assert np.isfinite(table.down_pos).all()
+        assert np.isfinite(table.pos[: tree.covered_count - 1]).all()
 
 
 def hand_table(tree, down):
     """Table with hand-set parent->child step probabilities.
 
-    ``down`` maps edge index -> (p_pos, p_neg); up probabilities are set
+    ``down`` maps edge index -> (p_pos, p_neg), the probabilities of the
+    directed edge with the same id; up probabilities (ids T + e) are set
     to zero and filled only where a test needs them.
     """
-    t = len(tree.child_nodes)
+    t = tree.covered_count - 1
     table_kwargs = dict(
-        down_pos=np.zeros(t),
-        down_neg=np.zeros(t),
-        up_pos=np.zeros(t),
-        up_neg=np.zeros(t),
-        cum_pos=np.zeros(len(tree.level)),
-        cum_neg=np.zeros(len(tree.level)),
+        pos=np.zeros(2 * t),
+        neg=np.zeros(2 * t),
+        cum_pos=np.zeros(tree.covered_count),
+        cum_neg=np.zeros(tree.covered_count),
     )
     from sgembed import RelevanceTable
 
     table = RelevanceTable(**table_kwargs)
     for e, (pp, pn) in down.items():
-        table.down_pos[e] = pp
-        table.down_neg[e] = pn
+        table.pos[e] = pp
+        table.neg[e] = pn
     return table
 
 
@@ -256,40 +281,48 @@ class TestPropagate:
         emb = init_embeddings(10, 3, 1)
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
-        for c in tree.child_nodes[tree.parent_nodes == 0].tolist():
-            e = int(tree.edge_of_child[c])
-            assert table.cum_pos[c] == pytest.approx(table.down_pos[e])
-            assert table.cum_neg[c] == pytest.approx(table.down_neg[e])
+        parent, _, edge_of_child = node_indexed(tree, 10)
+        cum_pos, cum_neg = cum_by_node(table, tree, 10)
+        for c in [v for v in tree.order.tolist() if parent[v] == 0]:
+            e = int(edge_of_child[c])
+            assert cum_pos[c] == pytest.approx(table.pos[e])
+            assert cum_neg[c] == pytest.approx(table.neg[e])
 
     def test_hand_recursion_values(self):
         # chain 0-1-2; parent cum set by hop 0, then check hop 1 values
         tree = build_bfs_tree(path_graph(3), 0)
-        e01 = int(tree.edge_of_child[1])
-        e12 = int(tree.edge_of_child[2])
+        _, _, edge_of_child = node_indexed(tree, 3)
+        e01 = int(edge_of_child[1])
+        e12 = int(edge_of_child[2])
         table = hand_table(tree, {e01: (0.6, 0.2), e12: (0.5, 0.3)})
         propagate(table, tree)
-        assert table.cum_pos[1] == pytest.approx(0.6)
-        assert table.cum_neg[1] == pytest.approx(0.2)
-        assert table.cum_pos[2] == pytest.approx(0.6 * 0.5 + 0.2 * 0.3)  # 0.36
-        assert table.cum_neg[2] == pytest.approx(0.6 * 0.3 + 0.2 * 0.5)  # 0.28
+        cum_pos, cum_neg = cum_by_node(table, tree, 3)
+        assert cum_pos[1] == pytest.approx(0.6)
+        assert cum_neg[1] == pytest.approx(0.2)
+        assert cum_pos[2] == pytest.approx(0.6 * 0.5 + 0.2 * 0.3)  # 0.36
+        assert cum_neg[2] == pytest.approx(0.6 * 0.3 + 0.2 * 0.5)  # 0.28
 
     def test_all_positive_chain_keeps_full_mass(self):
         tree = build_bfs_tree(path_graph(5), 0)
-        down = {int(tree.edge_of_child[c]): (1.0, 0.0) for c in range(1, 5)}
+        _, _, edge_of_child = node_indexed(tree, 5)
+        down = {int(edge_of_child[c]): (1.0, 0.0) for c in range(1, 5)}
         table = hand_table(tree, down)
         propagate(table, tree)
-        assert np.allclose(table.cum_pos[1:], 1.0)
-        assert np.allclose(table.cum_neg[1:], 0.0)
+        cum_pos, cum_neg = cum_by_node(table, tree, 5)
+        assert np.allclose(cum_pos[1:], 1.0)
+        assert np.allclose(cum_neg[1:], 0.0)
 
     def test_negative_hop_parity(self):
         # two negative hops compose to Positive, three to Negative
         tree = build_bfs_tree(path_graph(4), 0)
-        down = {int(tree.edge_of_child[c]): (0.0, 1.0) for c in range(1, 4)}
+        _, _, edge_of_child = node_indexed(tree, 4)
+        down = {int(edge_of_child[c]): (0.0, 1.0) for c in range(1, 4)}
         table = hand_table(tree, down)
         propagate(table, tree)
-        assert table.cum_neg[1] == pytest.approx(1.0)
-        assert table.cum_pos[2] == pytest.approx(1.0)  # enemy of my enemy
-        assert table.cum_neg[3] == pytest.approx(1.0)
+        cum_pos, cum_neg = cum_by_node(table, tree, 4)
+        assert cum_neg[1] == pytest.approx(1.0)
+        assert cum_pos[2] == pytest.approx(1.0)  # enemy of my enemy
+        assert cum_neg[3] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mass_decays_along_tree(self, seed):
@@ -297,9 +330,12 @@ class TestPropagate:
         emb = init_embeddings(40, 6, seed + 100)
         tree = build_bfs_tree(g, seed)
         table = relevance_table(emb, tree)
-        mass = table.cum_pos + table.cum_neg
-        for e in range(len(tree.child_nodes)):
-            child, parent = tree.child_nodes[e], tree.parent_nodes[e]
+        mass = cum_by_node(table, tree, 40).sum(axis=0)
+        parent_of, _, _ = node_indexed(tree, 40)
+        child_nodes = tree.order[1:]
+        parent_nodes = parent_of[child_nodes]
+        for e in range(len(child_nodes)):
+            child, parent = child_nodes[e], parent_nodes[e]
             assert mass[child] <= mass[parent] + 1e-12
 
     def test_entries_are_probabilities(self):
@@ -307,10 +343,7 @@ class TestPropagate:
         emb = init_embeddings(30, 4, 3)
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
-        for arr in (
-            table.down_pos, table.down_neg, table.up_pos, table.up_neg,
-            table.cum_pos, table.cum_neg,
-        ):
+        for arr in (table.pos, table.neg, table.cum_pos, table.cum_neg):
             assert (arr >= 0).all() and (arr <= 1).all()
 
 
@@ -336,12 +369,12 @@ class TestModifiedSoftmax:
         emb = init_embeddings(3, 4, 11)
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
+        _, _, edge_of_child = node_indexed(tree, 3)
+        cum_pos, cum_neg = cum_by_node(table, tree, 3)
+        up_pos, up_neg = table.pos[2:], table.neg[2:]  # T = 2 tree edges
         for leaf in (1, 2):
-            e = int(tree.edge_of_child[leaf])
-            expected_pos = (
-                table.cum_pos[leaf] * table.up_pos[e]
-                + table.cum_neg[leaf] * table.up_neg[e]
-            )
+            e = int(edge_of_child[leaf])
+            expected_pos = cum_pos[leaf] * up_pos[e] + cum_neg[leaf] * up_neg[e]
             assert softmax_at(table, tree, leaf, P) == pytest.approx(
                 expected_pos
             )
@@ -384,11 +417,12 @@ class TestModifiedSoftmax:
         # per-hop distributions put probability 1 on a Negative step; the
         # softmax must put probability 1 on the parity sign
         tree = build_bfs_tree(path_graph(4), 0)
-        down = {int(tree.edge_of_child[c]): (0.0, 1.0) for c in range(1, 4)}
+        _, _, edge_of_child = node_indexed(tree, 4)
+        down = {int(edge_of_child[c]): (0.0, 1.0) for c in range(1, 4)}
         table = hand_table(tree, down)
-        # back-steps also degenerate Negative
-        table.up_pos[:] = 0.0
-        table.up_neg[:] = 1.0
+        # back-steps (ids T + e, T = 3) also degenerate Negative
+        table.pos[3:] = 0.0
+        table.neg[3:] = 1.0
         propagate(table, tree)
         # depth 1: one hop + back-step = 2 negatives -> Positive
         assert softmax_at(table, tree, 1, P) == pytest.approx(1.0)
@@ -420,7 +454,7 @@ class TestModifiedSoftmax:
         emb = EmbeddingMatrix(values=np.tile([0.3, -0.2], (n, 1)))
         tree = build_bfs_tree(g, 0)
         table = relevance_table(emb, tree)
-        mass = table.cum_pos + table.cum_neg
+        mass = cum_by_node(table, tree, n).sum(axis=0)
         assert mass[1] == pytest.approx(1.0)
         for depth in range(2, n):
             assert mass[depth] / mass[depth - 1] == pytest.approx(0.5)
@@ -501,7 +535,9 @@ class TestSampler:
         # every walk on this chain descends edge 0 or steps back along it
         tree = build_bfs_tree(path_graph(3), 0)
         table = relevance_table(init_embeddings(3, 2, 0), tree)
-        getattr(table, field)[0] = np.nan
+        # down edge 0 is directed edge 0, its up direction T + 0 = 2
+        array, e = {"down_pos": (table.pos, 0), "up_neg": (table.neg, 2)}[field]
+        array[e] = np.nan
         with pytest.raises(FloatingPointError):
             sample_walk(table, tree, np.random.default_rng(0), 5)
 
@@ -556,7 +592,9 @@ class TestSampler:
 
 class TestTouchedNodes:
     def test_walk_plus_tree_neighbors(self):
+        # rooted at one end of a path, BFS position i holds node i
         tree = build_bfs_tree(path_graph(5), 0)
+        assert tree.order.tolist() == [0, 1, 2, 3, 4]
         assert touched_nodes(tree, [0, 1, 2]).tolist() == [0, 1, 2, 3]
 
     def test_update_cost_scales_like_degree_times_log_n(self):
@@ -576,9 +614,11 @@ class TestTouchedNodes:
                 tree = build_bfs_tree(g, int(root))
                 table = relevance_table(emb, tree)
                 batch = sample_walk(table, tree, rng, 20)
+                position = {v: i for i, v in enumerate(tree.order.tolist())}
                 for target in batch.targets.tolist():
                     walk_nodes = root_path(tree, target)
-                    sizes.append(len(touched_nodes(tree, walk_nodes)))
+                    walk = [position[v] for v in walk_nodes]
+                    sizes.append(len(touched_nodes(tree, walk)))
             ratios.append(np.mean(sizes) / (avg_degree * math.log(n)))
         # normalized cost stays bounded as n grows 8x
         assert max(ratios) / min(ratios) < 3.0
