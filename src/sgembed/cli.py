@@ -60,7 +60,12 @@ def _train_config(args) -> trainer.TrainConfig:
         if args.config
         else trainer.TrainConfig()
     )
-    overrides = dict(kv.split("=", 1) for kv in args.set or [])
+    overrides = {}
+    for kv in args.set or []:
+        key, sep, value = kv.partition("=")
+        if not sep:
+            raise ValueError(f"--set {kv!r}: expected KEY=VALUE")
+        overrides[key] = value
     cfg = cfg.merged(overrides)
     if args.seed is not None:
         cfg = cfg.merged({"seed": str(args.seed)})

@@ -15,6 +15,10 @@ import dataclasses
 import enum
 import json
 import logging
+import math
+import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -96,6 +100,25 @@ class LogisticModel:
     bias: float
 
 
+# Fewest feature blocks per worker thread of one ``logreg_train`` fit: below
+# this a thread's two barrier waits per step cost more than its share saves.
+MIN_BLOCKS_PER_WORKER = 4
+# A split ``logreg_train`` runs its steps in rounds of ROUND_STEPS, each on
+# the block split (inline or threaded) with the lowest per-step time measured
+# so far. The figure of a split not run in a round shrinks by the factor
+# ROUND_AGING, so a split that lost to a passing slowdown (a busy host delays
+# every barrier) is tried again.
+ROUND_STEPS = 10
+ROUND_AGING = 0.97
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def logreg_train(
     features: np.ndarray,
     labels: np.ndarray,
@@ -115,6 +138,18 @@ def logreg_train(
     equal to a fit on its own rows up to last-bit rounding. Deterministic
     (nothing is sampled). Raises ValueError when a column's rows hold only
     one class.
+
+    Each step's forward and backward passes run over disjoint runs of
+    blocks, one per worker: ``min(cpus, blocks // MIN_BLOCKS_PER_WORKER)``
+    workers, the calling thread and threads that meet it at a barrier once
+    per step, where the last to arrive applies the update. One worker runs
+    inline and starts no thread. With more, the steps run in rounds of
+    ROUND_STEPS, each inline or split, whichever measured faster per step
+    (a busy host can make every barrier slow); a round stops early once it
+    has taken longer than the other way's estimate for the whole round.
+    Every block's products are the same BLAS calls either way and the
+    update sums them in block order, so the models are bitwise the same
+    however many workers run and whichever way each round goes.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim == 2:
@@ -142,19 +177,84 @@ def logreg_train(
     weights = np.zeros((dim, k))
     bias = np.zeros(k)
     z = np.empty((blocks, rows, k))
-    for _ in range(iterations):
-        np.matmul(x, weights, out=z)
-        z += bias
-        # z becomes each model's error, sigmoid(z) - label, on its rows
-        np.clip(z, -500, 500, out=z)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        np.reciprocal(z, out=z)
-        z -= target
-        z *= keep
-        weights -= learning_rate * np.matmul(x_t, z).sum(axis=0) / count
-        bias -= learning_rate * (ones @ z.reshape(-1, k)) / count
+    part = np.empty((blocks, dim, k))
+
+    def forward_backward(lo, hi):
+        zs = z[lo:hi]
+        np.matmul(x[lo:hi], weights, out=zs)
+        zs += bias
+        # zs becomes each model's error, sigmoid(zs) - label, on its rows
+        np.clip(zs, -500, 500, out=zs)
+        np.negative(zs, out=zs)
+        np.exp(zs, out=zs)
+        zs += 1.0
+        np.reciprocal(zs, out=zs)
+        zs -= target[lo:hi]
+        zs *= keep[lo:hi]
+        np.matmul(x_t[lo:hi], zs, out=part[lo:hi])
+
+    def update():
+        weights[...] -= learning_rate * part.sum(axis=0) / count
+        bias[...] -= learning_rate * (ones @ z.reshape(-1, k)) / count
+
+    def run(steps, cuts, deadline):
+        """Up to ``steps`` steps, block run i of ``cuts`` on worker i (worker
+        0 is the calling thread); stops early after the first step that ends
+        past ``deadline``. Returns the steps run. The last worker to reach
+        the barrier applies the step's update before any worker goes on."""
+        barrier = threading.Barrier(len(cuts) - 1, action=update)
+        errors = []
+
+        def work(lo, hi):
+            try:
+                for _ in range(steps):
+                    forward_backward(lo, hi)
+                    barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            except Exception as exc:
+                errors.append(exc)
+                barrier.abort()
+
+        # daemon: a worker stranded by a fault must not keep the process alive
+        threads = [
+            threading.Thread(target=work, args=cuts[w : w + 2], daemon=True)
+            for w in range(1, len(cuts) - 1)
+        ]
+        for t in threads:
+            t.start()
+        try:
+            for ran in range(1, steps + 1):
+                forward_backward(cuts[0], cuts[1])
+                barrier.wait()
+                if time.perf_counter() > deadline:
+                    break
+        except threading.BrokenBarrierError:
+            raise errors[0] from None
+        finally:
+            # a worker already past the last barrier only rewrites its own
+            # z and part slices, which the next step overwrites; join first
+            barrier.abort()
+            for t in threads:
+                t.join()
+        return ran
+
+    workers = max(1, min(_cpu_count(), blocks // MIN_BLOCKS_PER_WORKER))
+    splits = [(0, blocks)]
+    if workers > 1:
+        splits.append(tuple(blocks * w // workers for w in range(workers + 1)))
+    step_s = dict.fromkeys(splits, 0.0)
+    done = 0
+    while done < iterations:
+        cuts = min(step_s, key=step_s.get)
+        steps = min(ROUND_STEPS, iterations - done)
+        rival = min((v for c, v in step_s.items() if c != cuts), default=0.0)
+        start = time.perf_counter()
+        ran = run(steps, cuts, start + steps * rival if rival else math.inf)
+        for other in step_s:
+            step_s[other] *= ROUND_AGING
+        step_s[cuts] = (time.perf_counter() - start) / ran
+        done += ran
     return [
         LogisticModel(weights=weights[:, j].copy(), bias=float(bias[j]))
         for j in range(k)

@@ -110,7 +110,7 @@ class TrainConfig:
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
                 try:
-                    cls().merged({key: value})
+                    cls().merged({key: value}).validate()
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
                 overrides[key] = value

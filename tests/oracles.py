@@ -436,6 +436,47 @@ def single_logreg(features, labels, iterations=500, learning_rate=0.1):
     return LogisticModel(weights=weights, bias=bias)
 
 
+def blocked_logreg(features, labels, mask=None, iterations=500,
+                   learning_rate=0.1):
+    """``logreg_train`` on one thread: every step is one stacked matmul over
+    all blocks in each direction, summed over blocks in block order, so a
+    split of the blocks across threads must reproduce it bit for bit."""
+    x = np.asarray(features, dtype=float)
+    if x.ndim == 2:
+        x = x[None]
+    blocks, rows, dim = x.shape
+    m = len(labels)
+    keep = np.zeros((blocks * rows, 1 if mask is None else mask.shape[1]))
+    keep[:m] = 1.0 if mask is None else mask
+    k = keep.shape[1]
+    target = np.zeros(blocks * rows)
+    target[:m] = labels
+    count = keep.sum(axis=0)
+    keep = keep.reshape(blocks, rows, k)
+    target = target.reshape(blocks, rows, 1)
+    ones = np.ones(blocks * rows)
+    x_t = x.transpose(0, 2, 1)
+    weights = np.zeros((dim, k))
+    bias = np.zeros(k)
+    z = np.empty((blocks, rows, k))
+    for _ in range(iterations):
+        np.matmul(x, weights, out=z)
+        z += bias
+        np.clip(z, -500, 500, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.reciprocal(z, out=z)
+        z -= target
+        z *= keep
+        weights -= learning_rate * np.matmul(x_t, z).sum(axis=0) / count
+        bias -= learning_rate * (ones @ z.reshape(-1, k)) / count
+    return [
+        LogisticModel(weights=weights[:, j].copy(), bias=float(bias[j]))
+        for j in range(k)
+    ]
+
+
 def per_fold_metrics(table, g, folds, feature_mode):
     """k-fold confusion counts with one classifier fit per fold on that
     fold's own train and test feature copies."""

@@ -193,3 +193,12 @@ def test_unparsable_config_value_names_its_key(tmp_path, graph_file, caplog):
     ])
     assert rc == 1
     assert "config key embedding_dim: bad value 'abc'" in caplog.text
+
+
+def test_set_without_equals_names_the_flag(tmp_path, graph_file, caplog):
+    rc = main([
+        "train", "--graph", str(graph_file), "--set", "embedding_dim",
+        "--output-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "--set 'embedding_dim': expected KEY=VALUE" in caplog.text

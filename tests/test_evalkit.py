@@ -1,6 +1,8 @@
 """Tests for edge features, logistic regression, k-fold, and audits."""
 
 import json
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -23,8 +25,10 @@ from sgembed import (
     stratified_edge_folds,
     synth_balanced,
 )
+from sgembed import evalkit
 from sgembed.evalkit import BLOCK_BYTES, edge_feature_blocks
 from oracles import (
+    blocked_logreg,
     dealt_folds,
     hand_paper_micro_f1,
     hand_standard_micro_f1,
@@ -252,6 +256,170 @@ class TestKModelFit:
         )
         with pytest.raises(ValueError, match="labels"):
             logreg_train(blocks, labels[:0])
+
+
+def random_blocks(blocks, rows, dim, k, seed):
+    """A ``(blocks, rows, dim)`` feature array with zero padding in its
+    last block, noisy linear 0/1 labels, and a random fold mask of k
+    columns (None for k=1)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(blocks, rows, dim))
+    m = blocks * rows - rows // 3
+    x.reshape(-1, dim)[m:] = 0.0
+    flat = x.reshape(-1, dim)[:m]
+    labels = (flat @ rng.normal(size=dim) + rng.normal(size=m) > 0).astype(int)
+    if k == 1:
+        return x, labels, None
+    return x, labels, rng.integers(0, k, size=m)[:, None] != np.arange(k)
+
+
+@pytest.fixture
+def force_workers(monkeypatch):
+    """Make ``logreg_train`` see the given CPU count and give every block a
+    worker of its own if need be; returns the list of threads it starts."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def force(cpus):
+        monkeypatch.setattr(evalkit, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(evalkit, "MIN_BLOCKS_PER_WORKER", 1)
+        monkeypatch.setattr(threading, "Thread", Counted)
+        return started
+
+    return force
+
+
+UNPATCHED_THREAD = threading.Thread
+
+
+def bounded(fn, seconds=120):
+    """fn() on its own (uncounted) thread, failing the test if it has not
+    returned after ``seconds``: a lost barrier party would hang forever."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except Exception as exc:
+            out["error"] = exc
+
+    t = UNPATCHED_THREAD(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), "fit did not finish"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def assert_same_models(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.weights, b.weights)
+        assert a.bias == b.bias
+
+
+class TestLogregTrain:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "blocks, k",
+        [(7, 3),   # 7 blocks split unevenly over 2 and 3 workers
+         (2, 2),   # fewer blocks than 3 CPUs
+         (5, 1)],  # one model, no mask
+    )
+    def test_models_bitwise_equal_at_any_worker_count(
+        self, force_workers, cpus, blocks, k
+    ):
+        x, labels, mask = random_blocks(blocks, 40, 6, k, blocks * 10 + k)
+        expected = blocked_logreg(x, labels, mask)
+        started = force_workers(cpus)
+        got = bounded(lambda: evalkit.logreg_train(x, labels, mask))
+        assert_same_models(got, expected)
+        # the first two rounds time both splits; each split round starts
+        # one thread per worker past the first
+        workers = min(cpus, blocks)
+        assert len(started) % max(workers - 1, 1) == 0
+        assert (len(started) > 0) == (workers > 1)
+        assert not any(t.is_alive() for t in started)
+
+    def test_more_workers_than_cores_under_fast_switching(self, force_workers):
+        x, labels, mask = random_blocks(9, 30, 4, 3, 5)
+        expected = blocked_logreg(x, labels, mask, iterations=100)
+        started = force_workers(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = bounded(
+                lambda: evalkit.logreg_train(x, labels, mask, iterations=100)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_models(got, expected)
+        assert len(started) > 0 and len(started) % 3 == 0
+
+    def test_worker_error_reaches_the_caller(self, force_workers, monkeypatch):
+        x, labels, mask = random_blocks(4, 20, 3, 2, 6)
+        started = force_workers(2)
+        caller = []
+        matmul = np.matmul
+
+        def failing_in_workers(*args, **kwargs):
+            if threading.current_thread() is not caller[0]:
+                raise RuntimeError("worker failed")
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", failing_in_workers)
+
+        def fit():
+            caller.append(threading.current_thread())
+            return evalkit.logreg_train(x, labels, mask)
+
+        with pytest.raises(RuntimeError, match="worker failed"):
+            bounded(fit)
+        assert len(started) == 1
+        assert not any(t.is_alive() for t in started)
+
+    def test_slow_barriers_send_the_fit_inline(self, force_workers, monkeypatch):
+        split_waits = []
+
+        class SlowBarrier(threading.Barrier):
+            def wait(self, timeout=None):
+                if self.parties > 1:
+                    split_waits.append(1)
+                    threading.Event().wait(0.01)
+                return super().wait(timeout)
+
+        x, labels, mask = random_blocks(8, 20, 3, 2, 8)
+        started = force_workers(2)
+        monkeypatch.setattr(threading, "Barrier", SlowBarrier)
+        got = bounded(lambda: evalkit.logreg_train(x, labels, mask))
+        assert_same_models(got, blocked_logreg(x, labels, mask))
+        # one split round, stopped after its first step had taken longer
+        # than a whole inline round; the aged inline figure stays far below
+        # the split's per-step time for the remaining rounds of 500 steps
+        assert len(started) == 1
+        assert len(split_waits) <= 3
+
+    @pytest.mark.parametrize(
+        "blocks", [2, 2 * evalkit.MIN_BLOCKS_PER_WORKER - 1]
+    )
+    def test_fit_below_the_size_rule_starts_no_thread(
+        self, monkeypatch, blocks
+    ):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("small fit started a thread")
+
+        monkeypatch.setattr(evalkit, "_cpu_count", lambda: 64)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        x, labels, mask = random_blocks(blocks, 20, 3, 5, 7)
+        assert_same_models(
+            evalkit.logreg_train(x, labels, mask),
+            blocked_logreg(x, labels, mask),
+        )
 
 
 class TestFoldMetrics:

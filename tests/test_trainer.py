@@ -103,6 +103,23 @@ class TestTrainConfig:
         ):
             TrainConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("embedding_dim", "0", "embedding_dim must be positive"),
+            ("batch_size", "-2", "batch_size must be positive"),
+            ("max_tree_depth", "0", "max_tree_depth must be positive"),
+            ("reward_clamp", "0,-1", "reward_clamp low bound exceeds"),
+        ],
+    )
+    def test_invalid_value_in_a_file_names_its_line(
+        self, tmp_path, key, value, message
+    ):
+        path = tmp_path / "train.cfg"
+        path.write_text(f"seed=1\n\n{key}={value}\n")
+        with pytest.raises(ValueError, match=rf"train\.cfg:3: {message}"):
+            TrainConfig.from_file(path)
+
     def test_unknown_key_in_a_file_names_its_line(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("seed=1\nmomentum=0.9\n")
