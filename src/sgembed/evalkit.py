@@ -15,10 +15,8 @@ import dataclasses
 import enum
 import json
 import logging
-import math
 import os
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -101,22 +99,36 @@ class LogisticModel:
 
 
 # Fewest feature blocks per worker thread of one ``logreg_train`` fit: below
-# this a thread's two barrier waits per step cost more than its share saves.
+# this a thread's barrier wait per step costs more than its share saves.
 MIN_BLOCKS_PER_WORKER = 4
-# A split ``logreg_train`` runs its steps in rounds of ROUND_STEPS, each on
-# the block split (inline or threaded) with the lowest per-step time measured
-# so far. The figure of a split not run in a round shrinks by the factor
-# ROUND_AGING, so a split that lost to a passing slowdown (a busy host delays
-# every barrier) is tried again.
-ROUND_STEPS = 10
-ROUND_AGING = 0.97
+# Processes of the pool this process works in (1 outside a pool): a pool
+# worker's fits use only its share of the CPUs, so that pool workers and
+# the fits' threads together run no more threads than there are CPUs.
+_pool_workers = 1
+
+
+def _set_pool_workers(count: int) -> None:
+    """Process-pool initializer: record the pool's size in each worker."""
+    global _pool_workers
+    _pool_workers = count
+
+
+def _process_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_set_pool_workers,
+        initargs=(workers,),
+    )
 
 
 def _cpu_count() -> int:
+    """CPUs one ``logreg_train`` fit may use: those this process may run
+    on, shared among the workers of its pool."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _pool_workers)
 
 
 def logreg_train(
@@ -143,13 +155,9 @@ def logreg_train(
     blocks, one per worker: ``min(cpus, blocks // MIN_BLOCKS_PER_WORKER)``
     workers, the calling thread and threads that meet it at a barrier once
     per step, where the last to arrive applies the update. One worker runs
-    inline and starts no thread. With more, the steps run in rounds of
-    ROUND_STEPS, each inline or split, whichever measured faster per step
-    (a busy host can make every barrier slow); a round stops early once it
-    has taken longer than the other way's estimate for the whole round.
-    Every block's products are the same BLAS calls either way and the
-    update sums them in block order, so the models are bitwise the same
-    however many workers run and whichever way each round goes.
+    inline and starts no thread. Every block's products are the same BLAS
+    calls at any worker count and the update sums them in block order, so
+    the models are bitwise the same however many workers run.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim == 2:
@@ -197,64 +205,41 @@ def logreg_train(
         weights[...] -= learning_rate * part.sum(axis=0) / count
         bias[...] -= learning_rate * (ones @ z.reshape(-1, k)) / count
 
-    def run(steps, cuts, deadline):
-        """Up to ``steps`` steps, block run i of ``cuts`` on worker i (worker
-        0 is the calling thread); stops early after the first step that ends
-        past ``deadline``. Returns the steps run. The last worker to reach
-        the barrier applies the step's update before any worker goes on."""
-        barrier = threading.Barrier(len(cuts) - 1, action=update)
-        errors = []
-
-        def work(lo, hi):
-            try:
-                for _ in range(steps):
-                    forward_backward(lo, hi)
-                    barrier.wait()
-            except threading.BrokenBarrierError:
-                pass
-            except Exception as exc:
-                errors.append(exc)
-                barrier.abort()
-
-        # daemon: a worker stranded by a fault must not keep the process alive
-        threads = [
-            threading.Thread(target=work, args=cuts[w : w + 2], daemon=True)
-            for w in range(1, len(cuts) - 1)
-        ]
-        for t in threads:
-            t.start()
-        try:
-            for ran in range(1, steps + 1):
-                forward_backward(cuts[0], cuts[1])
-                barrier.wait()
-                if time.perf_counter() > deadline:
-                    break
-        except threading.BrokenBarrierError:
-            raise errors[0] from None
-        finally:
-            # a worker already past the last barrier only rewrites its own
-            # z and part slices, which the next step overwrites; join first
-            barrier.abort()
-            for t in threads:
-                t.join()
-        return ran
-
     workers = max(1, min(_cpu_count(), blocks // MIN_BLOCKS_PER_WORKER))
-    splits = [(0, blocks)]
-    if workers > 1:
-        splits.append(tuple(blocks * w // workers for w in range(workers + 1)))
-    step_s = dict.fromkeys(splits, 0.0)
-    done = 0
-    while done < iterations:
-        cuts = min(step_s, key=step_s.get)
-        steps = min(ROUND_STEPS, iterations - done)
-        rival = min((v for c, v in step_s.items() if c != cuts), default=0.0)
-        start = time.perf_counter()
-        ran = run(steps, cuts, start + steps * rival if rival else math.inf)
-        for other in step_s:
-            step_s[other] *= ROUND_AGING
-        step_s[cuts] = (time.perf_counter() - start) / ran
-        done += ran
+    cuts = [blocks * w // workers for w in range(workers + 1)]
+    # block run i of cuts is worker i's; the last worker to reach the
+    # barrier applies the step's update before any worker goes on
+    barrier = threading.Barrier(workers, action=update)
+    errors = []
+
+    def work(lo, hi):
+        try:
+            for _ in range(iterations):
+                forward_backward(lo, hi)
+                barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        except Exception as exc:
+            errors.append(exc)
+            barrier.abort()
+
+    # daemon: a worker stranded by a fault must not keep the process alive
+    threads = [
+        threading.Thread(target=work, args=cuts[w : w + 2], daemon=True)
+        for w in range(1, workers)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        for _ in range(iterations):
+            forward_backward(cuts[0], cuts[1])
+            barrier.wait()
+    except threading.BrokenBarrierError:
+        raise errors[0] from None
+    finally:
+        barrier.abort()
+        for t in threads:
+            t.join()
     return [
         LogisticModel(weights=weights[:, j].copy(), bias=float(bias[j]))
         for j in range(k)
@@ -505,7 +490,7 @@ def kfold_link_prediction(
             for f in range(k_folds)
         ]
         if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            with _process_pool(threads) as pool:
                 results = list(pool.map(_strict_fold_job, jobs))
         else:
             results = [_strict_fold_job(job) for job in jobs]
@@ -665,7 +650,7 @@ def sparsity_sweep(
                 (g, fraction, graph_seed, cfg, k_folds, feature_mode, leakage_mode)
             )
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with _process_pool(threads) as pool:
             flat = list(pool.map(_sweep_job, jobs))
     else:
         flat = [_sweep_job(job) for job in jobs]

@@ -316,6 +316,29 @@ def bounded(fn, seconds=120):
     return out["value"]
 
 
+def no_thread(*args, **kwargs):
+    raise AssertionError("fit started a thread")
+
+
+class InlinePool:
+    """A ``ProcessPoolExecutor`` that runs its initializer and then its jobs
+    in this process, so a test sees what a pool worker's fits do."""
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.initializer, self.initargs = initializer, initargs
+
+    def __enter__(self):
+        if self.initializer is not None:
+            self.initializer(*self.initargs)
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return list(map(fn, jobs))
+
+
 def assert_same_models(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
@@ -339,11 +362,8 @@ class TestLogregTrain:
         started = force_workers(cpus)
         got = bounded(lambda: evalkit.logreg_train(x, labels, mask))
         assert_same_models(got, expected)
-        # the first two rounds time both splits; each split round starts
-        # one thread per worker past the first
-        workers = min(cpus, blocks)
-        assert len(started) % max(workers - 1, 1) == 0
-        assert (len(started) > 0) == (workers > 1)
+        # one persistent thread per worker past the first
+        assert len(started) == min(cpus, blocks) - 1
         assert not any(t.is_alive() for t in started)
 
     def test_more_workers_than_cores_under_fast_switching(self, force_workers):
@@ -359,7 +379,7 @@ class TestLogregTrain:
         finally:
             sys.setswitchinterval(interval)
         assert_same_models(got, expected)
-        assert len(started) > 0 and len(started) % 3 == 0
+        assert len(started) == 3
 
     def test_worker_error_reaches_the_caller(self, force_workers, monkeypatch):
         x, labels, mask = random_blocks(4, 20, 3, 2, 6)
@@ -383,36 +403,12 @@ class TestLogregTrain:
         assert len(started) == 1
         assert not any(t.is_alive() for t in started)
 
-    def test_slow_barriers_send_the_fit_inline(self, force_workers, monkeypatch):
-        split_waits = []
-
-        class SlowBarrier(threading.Barrier):
-            def wait(self, timeout=None):
-                if self.parties > 1:
-                    split_waits.append(1)
-                    threading.Event().wait(0.01)
-                return super().wait(timeout)
-
-        x, labels, mask = random_blocks(8, 20, 3, 2, 8)
-        started = force_workers(2)
-        monkeypatch.setattr(threading, "Barrier", SlowBarrier)
-        got = bounded(lambda: evalkit.logreg_train(x, labels, mask))
-        assert_same_models(got, blocked_logreg(x, labels, mask))
-        # one split round, stopped after its first step had taken longer
-        # than a whole inline round; the aged inline figure stays far below
-        # the split's per-step time for the remaining rounds of 500 steps
-        assert len(started) == 1
-        assert len(split_waits) <= 3
-
     @pytest.mark.parametrize(
         "blocks", [2, 2 * evalkit.MIN_BLOCKS_PER_WORKER - 1]
     )
     def test_fit_below_the_size_rule_starts_no_thread(
         self, monkeypatch, blocks
     ):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("small fit started a thread")
-
         monkeypatch.setattr(evalkit, "_cpu_count", lambda: 64)
         monkeypatch.setattr(threading, "Thread", no_thread)
         x, labels, mask = random_blocks(blocks, 20, 3, 5, 7)
@@ -420,6 +416,27 @@ class TestLogregTrain:
             evalkit.logreg_train(x, labels, mask),
             blocked_logreg(x, labels, mask),
         )
+
+    @pytest.mark.parametrize("leakage", ["strict", "fast"])
+    def test_fits_in_pool_jobs_start_no_thread(self, monkeypatch, leakage):
+        # two pool workers on two CPUs leave each worker's fits one CPU,
+        # though one-row blocks give every fit enough blocks to split
+        monkeypatch.setattr(evalkit, "_pool_workers", 1)
+        monkeypatch.setattr(evalkit.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(evalkit, "BLOCK_BYTES", 8)
+        monkeypatch.setattr(evalkit, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=2)
+        if leakage == "strict":
+            kfold_link_prediction(
+                g, 3, train_cfg=FAST_CFG, leakage_mode="strict", threads=2
+            )
+        else:
+            sparsity_sweep(
+                g, fractions=(0.2,), repeats=2, k_folds=3, train_cfg=FAST_CFG,
+                leakage_mode="fast", threads=2,
+            )
+        assert evalkit._pool_workers == 2
 
 
 class TestFoldMetrics:
