@@ -15,8 +15,6 @@ import dataclasses
 import enum
 import json
 import logging
-import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -98,66 +96,49 @@ class LogisticModel:
     bias: float
 
 
-# Fewest feature blocks per worker thread of one ``logreg_train`` fit: below
-# this a thread's barrier wait per step costs more than its share saves.
-MIN_BLOCKS_PER_WORKER = 4
-# Processes of the pool this process works in (1 outside a pool): a pool
-# worker's fits use only its share of the CPUs, so that pool workers and
-# the fits' threads together run no more threads than there are CPUs.
-_pool_workers = 1
+# Each model minimizes its mean log-loss on its rows plus RIDGE / 2 times
+# the squared norm of its weights and bias. The ridge keeps the optimum
+# finite on separable rows and the Hessian invertible on collinear ones,
+# and it keeps a strict fold's model from fitting the features of its
+# training edges, which that fold's θ_d was trained on, too closely:
+# criterion 6's strict folds score a mean F1 of 0.931 at 1e-3 but 0.853
+# at 1e-6.
+RIDGE = 1e-3
+# A model has converged when no coordinate of its Newton step exceeds this.
+STEP_TOLERANCE = 1e-10
+# Newton iterations within which every model must converge.
+MAX_ITERATIONS = 100
 
 
-def _set_pool_workers(count: int) -> None:
-    """Process-pool initializer: record the pool's size in each worker."""
-    global _pool_workers
-    _pool_workers = count
+class FitError(ValueError):
+    """A ``logreg_train`` fit that failed on one column of its mask."""
 
-
-def _process_pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_set_pool_workers,
-        initargs=(workers,),
-    )
-
-
-def _cpu_count() -> int:
-    """CPUs one ``logreg_train`` fit may use: those this process may run
-    on, shared among the workers of its pool."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // _pool_workers)
+    def __init__(self, column: int, reason: str):
+        super().__init__(f"column {column}: {reason}")
+        self.column, self.reason = column, reason
 
 
 def logreg_train(
     features: np.ndarray,
     labels: np.ndarray,
     mask: np.ndarray | None = None,
-    iterations: int = 500,
-    learning_rate: float = 0.1,
 ) -> list[LogisticModel]:
-    """Batch gradient descent on mean log-loss from zero init, one model per
-    column of ``mask``.
+    """Newton's method (iteratively reweighted least squares) on mean
+    log-loss plus a RIDGE penalty, from zero init, one model per column of
+    ``mask``.
 
     ``features`` is ``(m, d)``, or ``(blocks, rows, d)`` as from
     ``edge_feature_blocks``, whose flattened row i is example i and whose
     rows past ``len(labels)`` are padding. ``labels`` are 0/1 with 1 the
     positive sign. Column j of the 0/1 ``mask`` ``(len(labels), k)``
     selects the rows model j trains on; without a mask one model trains on
-    every row. All k models descend in one loop over the features, each
-    equal to a fit on its own rows up to last-bit rounding. Deterministic
-    (nothing is sampled). Raises ValueError when a column's rows hold only
-    one class.
-
-    Each step's forward and backward passes run over disjoint runs of
-    blocks, one per worker: ``min(cpus, blocks // MIN_BLOCKS_PER_WORKER)``
-    workers, the calling thread and threads that meet it at a barrier once
-    per step, where the last to arrive applies the update. One worker runs
-    inline and starts no thread. Every block's products are the same BLAS
-    calls at any worker count and the update sums them in block order, so
-    the models are bitwise the same however many workers run.
+    every row. Each iteration is one stacked forward and one stacked
+    backward matmul for all k models, then per unconverged model a
+    (d+1)x(d+1) Hessian summed block by block and one linear solve. A
+    model stops once its largest step is below STEP_TOLERANCE.
+    Deterministic (nothing is sampled). Raises FitError, a ValueError
+    naming the column, when a column's rows hold only one class or its
+    model has not converged within MAX_ITERATIONS iterations.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim == 2:
@@ -175,73 +156,63 @@ def logreg_train(
     positives = target @ keep
     single = np.flatnonzero((positives == 0) | (positives == count))
     if len(single):
-        raise ValueError(
-            f"column {single[0]}: training data must contain both classes"
+        raise FitError(
+            int(single[0]), "training data must contain both classes"
         )
     keep = keep.reshape(blocks, rows, k)
     target = target.reshape(blocks, rows, 1)
-    ones = np.ones(blocks * rows)
     x_t = x.transpose(0, 2, 1)
-    weights = np.zeros((dim, k))
-    bias = np.zeros(k)
+    # column j holds model j's weights, then its bias
+    theta = np.zeros((dim + 1, k))
     z = np.empty((blocks, rows, k))
-    part = np.empty((blocks, dim, k))
-
-    def forward_backward(lo, hi):
-        zs = z[lo:hi]
-        np.matmul(x[lo:hi], weights, out=zs)
-        zs += bias
-        # zs becomes each model's error, sigmoid(zs) - label, on its rows
-        np.clip(zs, -500, 500, out=zs)
-        np.negative(zs, out=zs)
-        np.exp(zs, out=zs)
-        zs += 1.0
-        np.reciprocal(zs, out=zs)
-        zs -= target[lo:hi]
-        zs *= keep[lo:hi]
-        np.matmul(x_t[lo:hi], zs, out=part[lo:hi])
-
-    def update():
-        weights[...] -= learning_rate * part.sum(axis=0) / count
-        bias[...] -= learning_rate * (ones @ z.reshape(-1, k)) / count
-
-    workers = max(1, min(_cpu_count(), blocks // MIN_BLOCKS_PER_WORKER))
-    cuts = [blocks * w // workers for w in range(workers + 1)]
-    # block run i of cuts is worker i's; the last worker to reach the
-    # barrier applies the step's update before any worker goes on
-    barrier = threading.Barrier(workers, action=update)
-    errors = []
-
-    def work(lo, hi):
-        try:
-            for _ in range(iterations):
-                forward_backward(lo, hi)
-                barrier.wait()
-        except threading.BrokenBarrierError:
-            pass
-        except Exception as exc:
-            errors.append(exc)
-            barrier.abort()
-
-    # daemon: a worker stranded by a fault must not keep the process alive
-    threads = [
-        threading.Thread(target=work, args=cuts[w : w + 2], daemon=True)
-        for w in range(1, workers)
-    ]
-    for t in threads:
-        t.start()
-    try:
-        for _ in range(iterations):
-            forward_backward(cuts[0], cuts[1])
-            barrier.wait()
-    except threading.BrokenBarrierError:
-        raise errors[0] from None
-    finally:
-        barrier.abort()
-        for t in threads:
-            t.join()
+    root = np.empty((blocks, rows, k))
+    # one block's rows of [x, 1], each scaled by sqrt(p (1 - p)) of a model
+    scaled = np.empty((rows, dim + 1))
+    hess = np.empty((dim + 1, dim + 1))
+    active = list(range(k))
+    for _ in range(MAX_ITERATIONS):
+        np.matmul(x, theta[:dim], out=z)
+        z += theta[dim]
+        # z becomes each model's probability p, root sqrt(p (1 - p)) and
+        # then z the error p - label, both zero off the model's rows
+        np.clip(z, -500, 500, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.reciprocal(z, out=z)
+        np.subtract(1.0, z, out=root)
+        root *= z
+        np.sqrt(root, out=root)
+        root *= keep
+        z -= target
+        z *= keep
+        grad = np.empty((dim + 1, k))
+        grad[:dim] = np.matmul(x_t, z).sum(axis=0)
+        grad[dim] = z.reshape(-1, k).sum(axis=0)
+        grad /= count
+        grad += RIDGE * theta
+        for j in list(active):
+            # the Hessian of the mean log-loss is [x, 1]^T diag(p (1 - p))
+            # [x, 1] over the model's rows / count, summed block by block
+            hess.fill(0.0)
+            for b in range(blocks):
+                np.multiply(x[b], root[b, :, j, None], out=scaled[:, :dim])
+                scaled[:, dim] = root[b, :, j]
+                hess += scaled.T @ scaled
+            hess /= count[j]
+            hess.flat[:: dim + 2] += RIDGE
+            step = np.linalg.solve(hess, grad[:, j])
+            theta[:, j] -= step
+            if np.abs(step).max() < STEP_TOLERANCE:
+                active.remove(j)
+        if not active:
+            break
+    else:
+        raise FitError(
+            active[0], f"no convergence in {MAX_ITERATIONS} Newton iterations"
+        )
     return [
-        LogisticModel(weights=weights[:, j].copy(), bias=float(bias[j]))
+        LogisticModel(weights=theta[:dim, j].copy(), bias=float(theta[dim, j]))
         for j in range(k)
     ]
 
@@ -402,11 +373,17 @@ def _select_table(theta_j, theta_d, use_embeddings: str) -> EmbeddingMatrix:
 def _evaluate_folds(table, g, fold_of, fold_ids, feature_mode):
     """Train one classifier per fold in ``fold_ids`` on the edges outside
     that fold, all in one fit over every edge's features from the given
-    embedding table, and score each on its own fold's edges."""
+    embedding table, and score each on its own fold's edges. A failed fit
+    names its fold, not its column of the fit's mask."""
     blocks = edge_feature_blocks(table, g.edge_u, g.edge_v, feature_mode)
     labels = g.edge_sign > 0
     train_mask = fold_of[:, None] != np.asarray(fold_ids)[None, :]
-    models = logreg_train(blocks, labels, train_mask)
+    try:
+        models = logreg_train(blocks, labels, train_mask)
+    except FitError as exc:
+        raise ValueError(
+            f"fold {fold_ids[exc.column]}: {exc.reason}"
+        ) from None
     flat = blocks.reshape(-1, blocks.shape[-1])
     results = []
     for f, model in zip(fold_ids, models):
@@ -490,7 +467,7 @@ def kfold_link_prediction(
             for f in range(k_folds)
         ]
         if threads > 1:
-            with _process_pool(threads) as pool:
+            with ProcessPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(_strict_fold_job, jobs))
         else:
             results = [_strict_fold_job(job) for job in jobs]
@@ -650,7 +627,7 @@ def sparsity_sweep(
                 (g, fraction, graph_seed, cfg, k_folds, feature_mode, leakage_mode)
             )
     if threads > 1:
-        with _process_pool(threads) as pool:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             flat = list(pool.map(_sweep_job, jobs))
     else:
         flat = [_sweep_job(job) for job in jobs]

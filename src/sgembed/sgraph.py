@@ -39,17 +39,6 @@ class Sign(enum.IntEnum):
     POSITIVE = 1
     NEGATIVE = -1
 
-    def flip(self) -> "Sign":
-        return Sign(-self.value)
-
-    @classmethod
-    def from_number(cls, x: float) -> "Sign":
-        if x > 0:
-            return cls.POSITIVE
-        if x < 0:
-            return cls.NEGATIVE
-        raise ValueError("sign value must be nonzero")
-
 
 @dataclass(frozen=True, eq=False)
 class SignedGraph:

@@ -92,11 +92,6 @@ class TrainConfig:
         d["reward_clamp"] = tuple(d.get("reward_clamp", (-20.0, 0.0)))
         return cls(**d)
 
-    def to_file(self, path: str | Path) -> None:
-        with open(path, "wt", encoding="utf-8") as fh:
-            for f in dataclasses.fields(self):
-                fh.write(f"{f.name}={_format_value(getattr(self, f.name))}\n")
-
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
         overrides: dict[str, str] = {}
@@ -125,14 +120,6 @@ class TrainConfig:
                 raise ValueError(f"unknown config key {key!r}")
             parsed[key] = _parse_value(key, value)
         return replace(self, **parsed)
-
-
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, tuple):
-        return ",".join(repr(float(x)) for x in value)
-    return str(value)
 
 
 def _parse_value(key: str, text: str):

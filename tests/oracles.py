@@ -17,6 +17,9 @@ import numpy as np
 from sgembed import Sign, WalkBatch, touched_nodes
 from sgembed.discriminator import DiscriminatorUpdateReport, _sigmoid
 from sgembed.evalkit import (
+    MAX_ITERATIONS,
+    RIDGE,
+    STEP_TOLERANCE,
     LogisticModel,
     edge_feature_matrix,
     fold_metrics,
@@ -27,6 +30,36 @@ from sgembed.generator import (
     GeneratorUpdateReport,
     walk_logprob_gradient,
 )
+
+
+def flip(sign):
+    """The opposite Sign."""
+    return Sign(-sign.value)
+
+
+def sign_from_number(x):
+    """The Sign of a nonzero number."""
+    if x > 0:
+        return Sign.POSITIVE
+    if x < 0:
+        return Sign.NEGATIVE
+    raise ValueError("sign value must be nonzero")
+
+
+def config_to_file(cfg, path):
+    """Write ``cfg`` as the key=value lines ``TrainConfig.from_file``
+    reads: none for None, comma-separated floats for a tuple."""
+
+    def text(value):
+        if value is None:
+            return "none"
+        if isinstance(value, tuple):
+            return ",".join(repr(float(x)) for x in value)
+        return str(value)
+
+    with open(path, "wt", encoding="utf-8") as fh:
+        for f in dataclasses.fields(cfg):
+            fh.write(f"{f.name}={text(getattr(cfg, f.name))}\n")
 
 
 def queue_bfs(g, root, max_depth=None):
@@ -420,61 +453,33 @@ def log_loss(features, labels, weights, bias):
     return float(np.mean(np.logaddexp(0.0, np.where(labels == 1, -z, z))))
 
 
-def single_logreg(features, labels, iterations=500, learning_rate=0.1):
-    """One logistic model by batch gradient descent on its rows alone, one
-    matrix-vector product per direction and iteration."""
-    labels = np.asarray(labels, dtype=float)
-    weights = np.zeros(features.shape[1])
-    bias = 0.0
-    m = len(labels)
-    for _ in range(iterations):
-        z = features @ weights + bias
-        prob = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-        err = prob - labels
-        weights -= learning_rate * (features.T @ err) / m
-        bias -= learning_rate * float(err.mean())
-    return LogisticModel(weights=weights, bias=bias)
+def newton_logreg(features, labels):
+    """One logistic model fit on its rows alone by Newton's method on
+    ``logreg_train``'s objective (mean log-loss plus RIDGE / 2 times the
+    squared weights and bias), over a dense copy of the features with a
+    ones column and one full Hessian per iteration."""
+    x = np.hstack([features, np.ones((len(features), 1))])
+    y = np.asarray(labels, dtype=float)
+    theta = np.zeros(x.shape[1])
+    for _ in range(MAX_ITERATIONS):
+        prob = 1.0 / (1.0 + np.exp(-np.clip(x @ theta, -500, 500)))
+        grad = x.T @ (prob - y) / len(y) + RIDGE * theta
+        hess = x.T @ (x * (prob * (1.0 - prob))[:, None]) / len(y)
+        step = np.linalg.solve(hess + RIDGE * np.eye(len(theta)), grad)
+        theta -= step
+        if np.abs(step).max() < STEP_TOLERANCE:
+            return LogisticModel(weights=theta[:-1], bias=float(theta[-1]))
+    raise AssertionError("oracle fit did not converge")
 
 
-def blocked_logreg(features, labels, mask=None, iterations=500,
-                   learning_rate=0.1):
-    """``logreg_train`` on one thread: every step is one stacked matmul over
-    all blocks in each direction, summed over blocks in block order, so a
-    split of the blocks across threads must reproduce it bit for bit."""
-    x = np.asarray(features, dtype=float)
-    if x.ndim == 2:
-        x = x[None]
-    blocks, rows, dim = x.shape
-    m = len(labels)
-    keep = np.zeros((blocks * rows, 1 if mask is None else mask.shape[1]))
-    keep[:m] = 1.0 if mask is None else mask
-    k = keep.shape[1]
-    target = np.zeros(blocks * rows)
-    target[:m] = labels
-    count = keep.sum(axis=0)
-    keep = keep.reshape(blocks, rows, k)
-    target = target.reshape(blocks, rows, 1)
-    ones = np.ones(blocks * rows)
-    x_t = x.transpose(0, 2, 1)
-    weights = np.zeros((dim, k))
-    bias = np.zeros(k)
-    z = np.empty((blocks, rows, k))
-    for _ in range(iterations):
-        np.matmul(x, weights, out=z)
-        z += bias
-        np.clip(z, -500, 500, out=z)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        np.reciprocal(z, out=z)
-        z -= target
-        z *= keep
-        weights -= learning_rate * np.matmul(x_t, z).sum(axis=0) / count
-        bias -= learning_rate * (ones @ z.reshape(-1, k)) / count
-    return [
-        LogisticModel(weights=weights[:, j].copy(), bias=float(bias[j]))
-        for j in range(k)
-    ]
+def ridge_gradient(features, labels, model):
+    """Largest coordinate of the gradient of ``logreg_train``'s objective
+    at ``model``, over the given rows."""
+    y = np.asarray(labels, dtype=float)
+    err = logreg_predict_proba(model, features) - y
+    grad_w = features.T @ err / len(y) + RIDGE * model.weights
+    grad_b = err.mean() + RIDGE * model.bias
+    return max(float(np.abs(grad_w).max()), abs(grad_b))
 
 
 def per_fold_metrics(table, g, folds, feature_mode):
@@ -490,7 +495,7 @@ def per_fold_metrics(table, g, folds, feature_mode):
         feats_test = edge_feature_matrix(
             table, g.edge_u[test_idx], g.edge_v[test_idx], feature_mode
         )
-        model = single_logreg(feats_train, labels[train_idx])
+        model = newton_logreg(feats_train, labels[train_idx])
         y_pred = logreg_predict_proba(model, feats_test) >= 0.5
         results.append(fold_metrics(labels[test_idx], y_pred))
     return results

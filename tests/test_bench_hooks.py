@@ -3,9 +3,11 @@
 perfbench/tracing.py replaces every (owner, attribute) in its HOOKS list at
 the name callers look it up by. A hooked name that disappears leaves its
 per-layer metric empty, so its absence fails here instead of in a
-benchmark run.
+benchmark run. A smoke run of every workload, through perfbench/smoke.py,
+likewise fails here when a change breaks a workload's checks.
 """
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +37,14 @@ def test_workload_tree_reads_run_in_process():
     checks = workloads._check_tables(g, emb, {"theta": emb}, seed=0)
     assert [ok for _, ok, _ in checks] == [True, True]
     assert tracing._tree_mb(build_bfs_tree(g, 0)) > 0
+
+
+def test_smoke_run_of_every_workload_passes():
+    # every workload at its tiny size, untraced and traced, with its
+    # correctness checks: a src/ change that breaks one fails here
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "perfbench/smoke.py"],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -2,8 +2,8 @@
 
 import json
 import sys
-import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,14 +28,17 @@ from sgembed import (
 from sgembed import evalkit
 from sgembed.evalkit import BLOCK_BYTES, edge_feature_blocks
 from oracles import (
-    blocked_logreg,
     dealt_folds,
     hand_paper_micro_f1,
     hand_standard_micro_f1,
     log_loss,
+    newton_logreg,
     per_fold_metrics,
-    single_logreg,
+    ridge_gradient,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import inputs  # noqa: E402
 
 P, N = Sign.POSITIVE, Sign.NEGATIVE
 
@@ -141,15 +144,6 @@ class TestLogisticRegression:
         pred = (logreg_predict_proba(model, x) >= 0.5).astype(int)
         assert np.array_equal(pred, y)
 
-    def test_zero_iterations_predicts_half(self):
-        x = np.array([[0.3], [-0.4]])
-        y = np.array([1, 0])
-        [model] = logreg_train(x, y, iterations=0)
-        assert np.allclose(logreg_predict_proba(model, x), 0.5)
-        assert log_loss(x, y, model.weights, model.bias) == log_loss(
-            x, y, np.zeros(1), 0.0
-        )
-
     def test_loss_never_increases(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -157,7 +151,7 @@ class TestLogisticRegression:
             y = (rng.random(40) < 0.5).astype(int)
             if y.min() == y.max():
                 continue
-            [model] = logreg_train(x, y, iterations=200)
+            [model] = logreg_train(x, y)
             initial = log_loss(x, y, np.zeros(3), 0.0)
             assert log_loss(x, y, model.weights, model.bias) <= initial + 1e-12
 
@@ -221,7 +215,7 @@ class TestKModelFit:
         assert len(models) == k
         for f, model in enumerate(models):
             train = fold_of != f
-            expected = single_logreg(flat[train], labels[train])
+            expected = newton_logreg(flat[train], labels[train])
             np.testing.assert_allclose(
                 model.weights, expected.weights, rtol=1e-9, atol=1e-12
             )
@@ -273,170 +267,59 @@ def random_blocks(blocks, rows, dim, k, seed):
     return x, labels, rng.integers(0, k, size=m)[:, None] != np.arange(k)
 
 
-@pytest.fixture
-def force_workers(monkeypatch):
-    """Make ``logreg_train`` see the given CPU count and give every block a
-    worker of its own if need be; returns the list of threads it starts."""
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    def force(cpus):
-        monkeypatch.setattr(evalkit, "_cpu_count", lambda: cpus)
-        monkeypatch.setattr(evalkit, "MIN_BLOCKS_PER_WORKER", 1)
-        monkeypatch.setattr(threading, "Thread", Counted)
-        return started
-
-    return force
-
-
-UNPATCHED_THREAD = threading.Thread
-
-
-def bounded(fn, seconds=120):
-    """fn() on its own (uncounted) thread, failing the test if it has not
-    returned after ``seconds``: a lost barrier party would hang forever."""
-    out = {}
-
-    def run():
-        try:
-            out["value"] = fn()
-        except Exception as exc:
-            out["error"] = exc
-
-    t = UNPATCHED_THREAD(target=run, daemon=True)
-    t.start()
-    t.join(seconds)
-    assert not t.is_alive(), "fit did not finish"
-    if "error" in out:
-        raise out["error"]
-    return out["value"]
-
-
-def no_thread(*args, **kwargs):
-    raise AssertionError("fit started a thread")
-
-
-class InlinePool:
-    """A ``ProcessPoolExecutor`` that runs its initializer and then its jobs
-    in this process, so a test sees what a pool worker's fits do."""
-
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        self.initializer, self.initargs = initializer, initargs
-
-    def __enter__(self):
-        if self.initializer is not None:
-            self.initializer(*self.initargs)
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return list(map(fn, jobs))
-
-
-def assert_same_models(got, expected):
-    assert len(got) == len(expected)
-    for a, b in zip(got, expected):
-        assert np.array_equal(a.weights, b.weights)
-        assert a.bias == b.bias
-
-
-class TestLogregTrain:
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "blocks, k",
-        [(7, 3),   # 7 blocks split unevenly over 2 and 3 workers
-         (2, 2),   # fewer blocks than 3 CPUs
-         (5, 1)],  # one model, no mask
+def wide_l2_fit():
+    """Wide-ranged features, on which a fixed-step gradient descent
+    oscillates: L2 features (up to about 50) of an N(0, 1)-plus-centroid
+    table on a Bitcoin-OTC-shaped graph, with 5 random folds."""
+    u, v, sign, community = inputs.bitcoin_like_graph(1500, 1)
+    rng = np.random.default_rng(3)
+    values = inputs.community_embedding(community, 50, 2)
+    values += rng.normal(size=values.shape)
+    x = edge_feature_blocks(
+        EmbeddingMatrix(values=values), u, v, EdgeFeatureMode.L2
     )
-    def test_models_bitwise_equal_at_any_worker_count(
-        self, force_workers, cpus, blocks, k
-    ):
-        x, labels, mask = random_blocks(blocks, 40, 6, k, blocks * 10 + k)
-        expected = blocked_logreg(x, labels, mask)
-        started = force_workers(cpus)
-        got = bounded(lambda: evalkit.logreg_train(x, labels, mask))
-        assert_same_models(got, expected)
-        # one persistent thread per worker past the first
-        assert len(started) == min(cpus, blocks) - 1
-        assert not any(t.is_alive() for t in started)
+    fold_of = rng.integers(0, 5, size=len(u))
+    return x, (sign > 0).astype(int), fold_of[:, None] != np.arange(5)
 
-    def test_more_workers_than_cores_under_fast_switching(self, force_workers):
-        x, labels, mask = random_blocks(9, 30, 4, 3, 5)
-        expected = blocked_logreg(x, labels, mask, iterations=100)
-        started = force_workers(4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = bounded(
-                lambda: evalkit.logreg_train(x, labels, mask, iterations=100)
-            )
-        finally:
-            sys.setswitchinterval(interval)
-        assert_same_models(got, expected)
-        assert len(started) == 3
 
-    def test_worker_error_reaches_the_caller(self, force_workers, monkeypatch):
-        x, labels, mask = random_blocks(4, 20, 3, 2, 6)
-        started = force_workers(2)
-        caller = []
-        matmul = np.matmul
-
-        def failing_in_workers(*args, **kwargs):
-            if threading.current_thread() is not caller[0]:
-                raise RuntimeError("worker failed")
-            return matmul(*args, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", failing_in_workers)
-
-        def fit():
-            caller.append(threading.current_thread())
-            return evalkit.logreg_train(x, labels, mask)
-
-        with pytest.raises(RuntimeError, match="worker failed"):
-            bounded(fit)
-        assert len(started) == 1
-        assert not any(t.is_alive() for t in started)
-
-    @pytest.mark.parametrize(
-        "blocks", [2, 2 * evalkit.MIN_BLOCKS_PER_WORKER - 1]
+def separable_fit(scale):
+    """Criterion 8's separable clusters at -2 and 2, times ``scale``."""
+    rng = np.random.default_rng(6)
+    x = np.concatenate(
+        [rng.normal(-2, 0.3, (30, 1)), rng.normal(2, 0.3, (30, 1))]
     )
-    def test_fit_below_the_size_rule_starts_no_thread(
-        self, monkeypatch, blocks
-    ):
-        monkeypatch.setattr(evalkit, "_cpu_count", lambda: 64)
-        monkeypatch.setattr(threading, "Thread", no_thread)
-        x, labels, mask = random_blocks(blocks, 20, 3, 5, 7)
-        assert_same_models(
-            evalkit.logreg_train(x, labels, mask),
-            blocked_logreg(x, labels, mask),
-        )
+    return scale * x, np.array([0] * 30 + [1] * 30), None
 
-    @pytest.mark.parametrize("leakage", ["strict", "fast"])
-    def test_fits_in_pool_jobs_start_no_thread(self, monkeypatch, leakage):
-        # two pool workers on two CPUs leave each worker's fits one CPU,
-        # though one-row blocks give every fit enough blocks to split
-        monkeypatch.setattr(evalkit, "_pool_workers", 1)
-        monkeypatch.setattr(evalkit.os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(evalkit, "BLOCK_BYTES", 8)
-        monkeypatch.setattr(evalkit, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(threading, "Thread", no_thread)
-        g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=2)
-        if leakage == "strict":
-            kfold_link_prediction(
-                g, 3, train_cfg=FAST_CFG, leakage_mode="strict", threads=2
-            )
-        else:
-            sparsity_sweep(
-                g, fractions=(0.2,), repeats=2, k_folds=3, train_cfg=FAST_CFG,
-                leakage_mode="fast", threads=2,
-            )
-        assert evalkit._pool_workers == 2
+
+FITS = {
+    "wide_l2": wide_l2_fit,
+    "separable": lambda: separable_fit(1.0),
+    "separable_features_near_1e4": lambda: separable_fit(5e3),
+    "blocked_k5": lambda: random_blocks(7, 100, 6, 5, 4),
+}
+# Largest coordinate of a model's objective gradient a converged fit
+# leaves; the fits above leave at most about 7e-15.
+GRADIENT_BOUND = 1e-9
+
+
+class TestNewtonFit:
+    @pytest.mark.parametrize("fit", FITS)
+    def test_gradient_vanishes_at_return(self, fit):
+        x, labels, mask = FITS[fit]()
+        models = logreg_train(x, labels, mask)
+        flat = x.reshape(-1, x.shape[-1])[: len(labels)]
+        for j, model in enumerate(models):
+            rows = slice(None) if mask is None else mask[:, j]
+            grad = ridge_gradient(flat[rows], labels[rows], model)
+            assert grad < GRADIENT_BOUND, f"column {j}: {grad:.2e}"
+
+    def test_fit_past_the_cap_names_its_column(self, monkeypatch):
+        monkeypatch.setattr(evalkit, "MAX_ITERATIONS", 1)
+        x, labels, mask = random_blocks(3, 40, 4, 3, 1)
+        with pytest.raises(
+            ValueError, match="column 0: no convergence in 1 Newton"
+        ):
+            logreg_train(x, labels, mask)
 
 
 class TestFoldMetrics:
@@ -559,6 +442,19 @@ class TestKfoldLinkPrediction:
         emb = embedding_from([[1.0], [2.0], [3.0], [4.0]])
         with pytest.raises(ValueError, match="fold 0: .*single class"):
             kfold_link_prediction(g, 2, train_cfg=FAST_CFG, embeddings=emb)
+
+    def test_fit_error_names_the_fold_not_the_column(self, monkeypatch):
+        # a strict fold fits one table alone, as column 0 of its fit
+        monkeypatch.setattr(evalkit, "MAX_ITERATIONS", 1)
+        g = random_connected_graph(30, 80, 0)
+        emb = EmbeddingMatrix(
+            values=np.random.default_rng(0).normal(size=(30, 3))
+        )
+        fold_of = np.arange(g.edge_count) % 5
+        with pytest.raises(ValueError, match="^fold 3: no convergence"):
+            evalkit._evaluate_folds(
+                emb, g, fold_of, [3], EdgeFeatureMode.HADAMARD
+            )
 
     def test_fast_and_strict_modes_run(self):
         g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=2)

@@ -18,7 +18,12 @@ from sgembed import (
     top_degree_subgraph,
 )
 
-from oracles import loop_random_connected_graph, unbalanced_triangles
+from oracles import (
+    flip,
+    loop_random_connected_graph,
+    sign_from_number,
+    unbalanced_triangles,
+)
 
 
 def csr(g):
@@ -55,14 +60,14 @@ class TestSign:
 
     def test_flip_is_an_involution(self):
         for s in Sign:
-            assert s.flip().flip() is s
-        assert Sign.POSITIVE.flip() is Sign.NEGATIVE
+            assert flip(flip(s)) is s
+        assert flip(Sign.POSITIVE) is Sign.NEGATIVE
 
     def test_from_number(self):
-        assert Sign.from_number(3.5) is Sign.POSITIVE
-        assert Sign.from_number(-1) is Sign.NEGATIVE
+        assert sign_from_number(3.5) is Sign.POSITIVE
+        assert sign_from_number(-1) is Sign.NEGATIVE
         with pytest.raises(ValueError):
-            Sign.from_number(0)
+            sign_from_number(0)
 
 
 class TestSignedGraph:

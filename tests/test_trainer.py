@@ -68,12 +68,12 @@ class TestTrainConfig:
     def test_file_round_trip(self, tmp_path):
         cfg = TrainConfig(seed=9, max_tree_depth=4, reward_clamp=(-5.0, 0.0))
         path = tmp_path / "train.cfg"
-        cfg.to_file(path)
+        oracles.config_to_file(cfg, path)
         assert TrainConfig.from_file(path) == cfg
 
     def test_overrides_beat_file_values(self, tmp_path):
         path = tmp_path / "train.cfg"
-        TrainConfig(learning_rate=0.5).to_file(path)
+        oracles.config_to_file(TrainConfig(learning_rate=0.5), path)
         cfg = TrainConfig.from_file(path).merged(
             {"learning_rate": "0.25", "batch_size": "16"}
         )
