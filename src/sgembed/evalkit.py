@@ -168,6 +168,7 @@ def logreg_train(
     root = np.empty((blocks, rows, k))
     # one block's rows of [x, 1], each scaled by sqrt(p (1 - p)) of a model
     scaled = np.empty((rows, dim + 1))
+    grad = np.empty((dim + 1, k))
     hess = np.empty((dim + 1, dim + 1))
     active = list(range(k))
     for _ in range(MAX_ITERATIONS):
@@ -186,7 +187,6 @@ def logreg_train(
         root *= keep
         z -= target
         z *= keep
-        grad = np.empty((dim + 1, k))
         grad[:dim] = np.matmul(x_t, z).sum(axis=0)
         grad[dim] = z.reshape(-1, k).sum(axis=0)
         grad /= count
