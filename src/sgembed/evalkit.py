@@ -117,6 +117,10 @@ class FitError(ValueError):
         super().__init__(f"column {column}: {reason}")
         self.column, self.reason = column, reason
 
+    def __reduce__(self):
+        # rebuilt from both fields, so it crosses a process pool intact
+        return FitError, (self.column, self.reason)
+
 
 def logreg_train(
     features: np.ndarray,

@@ -2,6 +2,8 @@
 
 import json
 import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -320,6 +322,100 @@ class TestNewtonFit:
             ValueError, match="column 0: no convergence in 1 Newton"
         ):
             logreg_train(x, labels, mask)
+
+
+def no_thread(*args, **kwargs):
+    raise AssertionError("fit started a thread")
+
+
+class InlinePool:
+    """A ``ProcessPoolExecutor`` that runs its jobs in this process, so a
+    test sees what a pool worker's fits do."""
+
+    jobs = 0
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        InlinePool.jobs += len(jobs)
+        return list(map(fn, jobs))
+
+
+def assert_same_models(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.weights, b.weights)
+        assert a.bias == b.bias
+
+
+class TestLogregTrain:
+    """Fits in the worker processes of ``--threads N`` pools."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "blocks, k",
+        [(7, 3),   # 7 blocks
+         (2, 2),   # fewer blocks than 3 workers
+         (5, 1)],  # one model, no mask
+    )
+    def test_models_bitwise_equal_at_any_worker_count(self, cpus, blocks, k):
+        # strict folds and sweep cells fit in pool workers, and their
+        # results must equal the sequential order's
+        x, labels, mask = random_blocks(blocks, 40, 6, k, blocks * 10 + k)
+        expected = logreg_train(x, labels, mask)
+        with ProcessPoolExecutor(max_workers=cpus) as pool:
+            fits = [
+                pool.submit(logreg_train, x, labels, mask)
+                for _ in range(cpus)
+            ]
+            got = [fit.result(timeout=120) for fit in fits]
+        for models in got:
+            assert_same_models(models, expected)
+        flat = x.reshape(-1, x.shape[-1])[: len(labels)]
+        for j, model in enumerate(expected):
+            rows = slice(None) if mask is None else mask[:, j]
+            oracle = newton_logreg(flat[rows], labels[rows])
+            np.testing.assert_allclose(
+                model.weights, oracle.weights, rtol=1e-9, atol=1e-12
+            )
+            assert model.bias == pytest.approx(oracle.bias, rel=1e-9)
+
+    def test_worker_error_reaches_the_caller(self):
+        x, labels, mask = random_blocks(4, 20, 3, 2, 6)
+        mask[:, 1] &= labels == 1  # column 1 trains on positives only
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            fit = pool.submit(logreg_train, x, labels, mask)
+            with pytest.raises(
+                ValueError, match="column 1: .*both classes"
+            ) as raised:
+                fit.result(timeout=120)
+        assert raised.value.column == 1
+
+    @pytest.mark.parametrize("leakage", ["strict", "fast"])
+    def test_fits_in_pool_jobs_start_no_thread(self, monkeypatch, leakage):
+        # one-row blocks give every fit as many blocks as it has edges
+        monkeypatch.setattr(evalkit, "BLOCK_BYTES", 8)
+        monkeypatch.setattr(evalkit, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(InlinePool, "jobs", 0)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=2)
+        if leakage == "strict":
+            kfold_link_prediction(
+                g, 3, train_cfg=FAST_CFG, leakage_mode="strict", threads=2
+            )
+        else:
+            sparsity_sweep(
+                g, fractions=(0.2,), repeats=2, k_folds=3, train_cfg=FAST_CFG,
+                leakage_mode="fast", threads=2,
+            )
+        assert InlinePool.jobs == (3 if leakage == "strict" else 2)
 
 
 class TestFoldMetrics:
