@@ -72,14 +72,23 @@ def _train_config(args) -> trainer.TrainConfig:
     return cfg
 
 
-def _emit_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_report(out: Path, name: str, report, meta: dict, csv_rows=None):
+    """Write ``report.to_dict()`` with ``meta`` under "meta" to
+    ``out/<name>.json`` and any ``csv_rows`` to ``out/<name>.csv``,
+    creating ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    payload = {**report.to_dict(), "meta": meta}
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    (out / f"{name}.json").write_text(text + "\n")
+    if csv_rows is not None:
+        (out / f"{name}.csv").write_text("\n".join(csv_rows) + "\n")
 
 
 def _cmd_train(args) -> int:
     g, checksum = _load_graph(args)
     cfg = _train_config(args)
     out = Path(args.output_dir)
+    # the checkpoint is written into it during training
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg.to_dict(), {str(args.graph): checksum})
     logger.info("effective config: %s", json.dumps(cfg.to_dict(), sort_keys=True))
@@ -93,9 +102,7 @@ def _cmd_train(args) -> int:
     ]
     theta_j.save(out / "theta_j.emb", comments=comments)
     theta_d.save(out / "theta_d.emb", comments=comments)
-    payload = report.to_dict()
-    payload["meta"] = meta
-    _emit_json(out / "train_report.json", payload)
+    _write_report(out, "train_report", report, meta)
     print(
         f"trained {g.node_count} nodes: theta_j {report.theta_j_checksum} "
         f"theta_d {report.theta_d_checksum}"
@@ -131,12 +138,10 @@ def _cmd_predict(args) -> int:
         use_embeddings=args.use,
         threads=args.threads,
     )
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = report.to_dict()
-    payload["meta"] = _meta(config, inputs)
-    _emit_json(out / "metrics.json", payload)
-    (out / "metrics.csv").write_text("\n".join(report.csv_rows()) + "\n")
+    _write_report(
+        Path(args.output_dir), "metrics", report, _meta(config, inputs),
+        report.csv_rows(),
+    )
     print(
         f"mean paper_micro_f1={report.mean_paper_micro_f1:.4f} "
         f"standard_micro_f1={report.mean_standard_micro_f1:.4f}"
@@ -170,12 +175,10 @@ def _cmd_sweep(args) -> int:
         seed=config["seed"],
         threads=args.threads,
     )
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = report.to_dict()
-    payload["meta"] = _meta(config, {str(args.graph): checksum})
-    _emit_json(out / "sweep.json", payload)
-    (out / "sweep.csv").write_text("\n".join(report.csv_rows()) + "\n")
+    _write_report(
+        Path(args.output_dir), "sweep", report,
+        _meta(config, {str(args.graph): checksum}), report.csv_rows(),
+    )
     for cell in report.cells:
         print(
             f"fraction={cell.fraction}: paper_micro_f1="
@@ -191,14 +194,8 @@ def _cmd_audit(args) -> int:
     audit = evalkit.balance_audit(
         emb, g, sample_fraction=args.fraction, seed=config["seed"]
     )
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = audit.to_dict()
-    payload["meta"] = _meta(
-        config,
-        {str(args.graph): checksum, str(args.emb): _file_checksum(args.emb)},
-    )
-    _emit_json(out / "audit.json", payload)
+    inputs = {str(args.graph): checksum, str(args.emb): _file_checksum(args.emb)}
+    _write_report(Path(args.output_dir), "audit", audit, _meta(config, inputs))
     print(f"APED={audit.aped:.4f} ANED={audit.aned:.4f}")
     return 0
 
@@ -321,6 +318,16 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
+def _add_eval_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--feature",
+        choices=[m.value for m in evalkit.EdgeFeatureMode],
+        default="hadamard",
+    )
+    p.add_argument("--leakage", choices=("strict", "fast"), default="strict")
+    p.add_argument("--folds", type=int, default=5)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgembed",
@@ -345,13 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="discriminator",
         help="which trained table feeds the classifier",
     )
-    p.add_argument(
-        "--feature",
-        choices=[m.value for m in evalkit.EdgeFeatureMode],
-        default="hadamard",
-    )
-    p.add_argument("--leakage", choices=("strict", "fast"), default="strict")
-    p.add_argument("--folds", type=int, default=5)
+    _add_eval_args(p)
     p.add_argument(
         "--threads", type=int, default=1,
         help="worker processes for strict-leakage folds (1: none)",
@@ -364,13 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.add_argument("--fractions", default="0.2,0.4,0.6,0.8")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument(
-        "--feature",
-        choices=[m.value for m in evalkit.EdgeFeatureMode],
-        default="hadamard",
-    )
-    p.add_argument("--leakage", choices=("strict", "fast"), default="strict")
-    p.add_argument("--folds", type=int, default=5)
+    _add_eval_args(p)
     p.add_argument(
         "--threads", type=int, default=1,
         help="worker processes for sweep cells (1: none)",

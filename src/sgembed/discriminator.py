@@ -71,15 +71,19 @@ def batch_gradient(emb: EmbeddingMatrix, batch: np.ndarray) -> tuple:
     is zero. The objective averages log sigma(z) over true edges and
     log(1 - sigma(z)) over fake ones, with z = sign * d_u . d_v."""
     us, vs, signs, true = batch["u"], batch["v"], batch["sign"], batch["true"]
-    rows = np.unique(np.concatenate([us, vs]))
-    iu, iv = np.searchsorted(rows, us), np.searchsorted(rows, vs)
+    rows, slot = np.unique(np.concatenate([us, vs]), return_inverse=True)
+    iu, iv = np.split(slot, 2)
     values = emb.values[rows]
     z = signs * np.einsum("ij,ij->i", values[iu], values[iv])
     s = _sigmoid(z)
     coef = np.where(true, 1.0 - s, -s) * signs / len(batch)
+    # one scatter of u's terms, then v's, over flat (row, column) slots,
+    # which np.add.at runs on its fast 1-D path
+    partner = np.concatenate([iv, iu])
+    pieces = np.concatenate([coef, coef])[:, None] * values[partner]
+    slots = slot[:, None] * emb.dim + np.arange(emb.dim)
     grad = np.zeros_like(values)
-    np.add.at(grad, iu, coef[:, None] * values[iv])
-    np.add.at(grad, iv, coef[:, None] * values[iu])
+    np.add.at(grad.reshape(-1), slots.ravel(), pieces.ravel())
     terms = np.where(true, -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z))
     return rows, grad, float(terms.mean())
 

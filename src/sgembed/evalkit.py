@@ -168,33 +168,19 @@ def logreg_train(
     x_t = x.transpose(0, 2, 1)
     # column j holds model j's weights, then its bias
     theta = np.zeros((dim + 1, k))
-    z = np.empty((blocks, rows, k))
-    root = np.empty((blocks, rows, k))
     # one block's rows of [x, 1], each scaled by sqrt(p (1 - p)) of a model
     scaled = np.empty((rows, dim + 1))
-    grad = np.empty((dim + 1, k))
     hess = np.empty((dim + 1, dim + 1))
     active = list(range(k))
     for _ in range(MAX_ITERATIONS):
-        np.matmul(x, theta[:dim], out=z)
-        z += theta[dim]
-        # z becomes each model's probability p, root sqrt(p (1 - p)) and
-        # then z the error p - label, both zero off the model's rows
-        np.clip(z, -500, 500, out=z)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        np.reciprocal(z, out=z)
-        np.subtract(1.0, z, out=root)
-        root *= z
-        np.sqrt(root, out=root)
-        root *= keep
-        z -= target
-        z *= keep
-        grad[:dim] = np.matmul(x_t, z).sum(axis=0)
-        grad[dim] = z.reshape(-1, k).sum(axis=0)
-        grad /= count
-        grad += RIDGE * theta
+        z = np.clip(x @ theta[:dim] + theta[dim], -500, 500)
+        p = 1.0 / (1.0 + np.exp(-z))
+        # both zero off each model's rows
+        root = np.sqrt(p * (1.0 - p)) * keep
+        err = (p - target) * keep
+        grad = np.vstack(
+            [np.matmul(x_t, err).sum(axis=0), err.reshape(-1, k).sum(axis=0)]
+        ) / count + RIDGE * theta
         for j in list(active):
             # the Hessian of the mean log-loss is [x, 1]^T diag(p (1 - p))
             # [x, 1] over the model's rows / count, summed block by block
@@ -224,6 +210,15 @@ def logreg_train(
 def logreg_predict_proba(model: LogisticModel, features: np.ndarray) -> np.ndarray:
     z = features @ model.weights + model.bias
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
+# The per-fold columns of reports, in CSV order: the confusion counts of
+# FoldMetrics, then its rates.
+FOLD_COLUMNS = (
+    "n_pp", "n_pn", "n_np", "n_nn",
+    "precision_pos", "precision_neg", "recall_pos", "recall_neg",
+    "paper_micro_f1", "standard_micro_f1",
+)
 
 
 @dataclass
@@ -272,18 +267,7 @@ class FoldMetrics:
         return self._ratio(correct, total)
 
     def to_dict(self) -> dict:
-        return {
-            "n_pp": self.n_pp,
-            "n_pn": self.n_pn,
-            "n_np": self.n_np,
-            "n_nn": self.n_nn,
-            "precision_pos": self.precision_pos,
-            "precision_neg": self.precision_neg,
-            "recall_pos": self.recall_pos,
-            "recall_neg": self.recall_neg,
-            "paper_micro_f1": self.paper_micro_f1,
-            "standard_micro_f1": self.standard_micro_f1,
-        }
+        return {name: getattr(self, name) for name in FOLD_COLUMNS}
 
 
 def fold_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> FoldMetrics:
@@ -333,18 +317,13 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def csv_rows(self) -> list[str]:
-        header = (
-            "fold,n_pp,n_pn,n_np,n_nn,precision_pos,precision_neg,"
-            "recall_pos,recall_neg,paper_micro_f1,standard_micro_f1"
-        )
-        rows = [header]
+        rows = [",".join(("fold",) + FOLD_COLUMNS)]
         for i, f in enumerate(self.folds):
-            rows.append(
-                f"{i},{f.n_pp},{f.n_pn},{f.n_np},{f.n_nn},"
-                f"{f.precision_pos:.6f},{f.precision_neg:.6f},"
-                f"{f.recall_pos:.6f},{f.recall_neg:.6f},"
-                f"{f.paper_micro_f1:.6f},{f.standard_micro_f1:.6f}"
-            )
+            cells = [
+                f"{v:.6f}" if isinstance(v, float) else str(v)
+                for v in f.to_dict().values()
+            ]
+            rows.append(",".join([str(i), *cells]))
         return rows
 
 
@@ -366,12 +345,18 @@ def stratified_edge_folds(
     return [np.flatnonzero(fold_of == f) for f in range(k_folds)]
 
 
-def _select_table(theta_j, theta_d, use_embeddings: str) -> EmbeddingMatrix:
-    if use_embeddings == "generator":
-        return theta_j
-    if use_embeddings == "discriminator":
-        return theta_d
-    raise ValueError("use_embeddings must be 'generator' or 'discriminator'")
+# The use_embeddings values, at the index of the table they name in the
+# (theta_j, theta_d, report) that ``train`` returns.
+TABLES = ("generator", "discriminator")
+
+
+def _map_jobs(fn, jobs: list, threads: int) -> list:
+    """``[fn(job) for job in jobs]``, in a pool of ``threads`` worker
+    processes when ``threads`` > 1."""
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def _evaluate_folds(table, g, fold_of, fold_ids, feature_mode):
@@ -401,8 +386,7 @@ def _strict_fold_job(args) -> FoldMetrics:
     """Retrain embeddings without fold f's edges, then evaluate fold f."""
     g, fold_of, f, cfg, feature_mode, use_embeddings = args
     sub = SignedGraph.from_edges(g.node_count, g.edge_triples()[fold_of != f])
-    theta_j, theta_d, _ = train(sub, cfg)
-    table = _select_table(theta_j, theta_d, use_embeddings)
+    table = train(sub, cfg)[TABLES.index(use_embeddings)]
     return _evaluate_folds(table, g, fold_of, [f], feature_mode)[0]
 
 
@@ -430,6 +414,8 @@ def kfold_link_prediction(
     """
     if leakage_mode not in ("strict", "fast"):
         raise ValueError("leakage_mode must be 'strict' or 'fast'")
+    if use_embeddings not in TABLES:
+        raise ValueError("use_embeddings must be 'generator' or 'discriminator'")
     if train_cfg is None:
         train_cfg = TrainConfig()
     seed_root = np.random.SeedSequence(train_cfg.seed)
@@ -441,8 +427,7 @@ def kfold_link_prediction(
     table = embeddings
     if table is None and leakage_mode == "fast":
         cfg = replace(train_cfg, seed=int(fast_ss.generate_state(1)[0]))
-        theta_j, theta_d, _ = train(g, cfg)
-        table = _select_table(theta_j, theta_d, use_embeddings)
+        table = train(g, cfg)[TABLES.index(use_embeddings)]
 
     positive = g.edge_sign > 0
     fold_of = np.empty(g.edge_count, dtype=np.int64)
@@ -470,11 +455,7 @@ def kfold_link_prediction(
             )
             for f in range(k_folds)
         ]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_strict_fold_job, jobs))
-        else:
-            results = [_strict_fold_job(job) for job in jobs]
+        results = _map_jobs(_strict_fold_job, jobs, threads)
     return MetricsReport(
         feature_mode=feature_mode,
         leakage_mode="precomputed" if embeddings is not None else leakage_mode,
@@ -492,15 +473,9 @@ class BalanceAudit:
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "aped": self.aped,
-            "aned": self.aned,
-            "positive_sampled": self.positive_sampled,
-            "negative_sampled": self.negative_sampled,
+            **dataclasses.asdict(self),
             "balanced": self.aped < self.aned,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def balance_audit(
@@ -616,8 +591,9 @@ def sparsity_sweep(
     if train_cfg is None:
         train_cfg = TrainConfig()
     fractions = list(fractions)
-    if not fractions:
-        return SweepReport(cells=[], reports=[])
+    for fraction in fractions:
+        if not 0.0 <= fraction < 1.0:
+            raise ValueError(f"fraction {fraction} must be in [0, 1)")
     children = np.random.SeedSequence(seed).spawn(len(fractions) * repeats)
     jobs = []
     for i, fraction in enumerate(fractions):
@@ -630,11 +606,7 @@ def sparsity_sweep(
             jobs.append(
                 (g, fraction, graph_seed, cfg, k_folds, feature_mode, leakage_mode)
             )
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(_sweep_job, jobs))
-    else:
-        flat = [_sweep_job(job) for job in jobs]
+    flat = _map_jobs(_sweep_job, jobs, threads)
 
     cells, reports = [], []
     for i, fraction in enumerate(fractions):

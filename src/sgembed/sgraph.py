@@ -156,7 +156,6 @@ class EdgeListSpec:
 
     path: str | Path
     delimiter: str | None = None
-    comment_prefix: str = "#"
     rating_threshold: float | None = None
 
 
@@ -215,7 +214,7 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith(spec.comment_prefix):
+            if line.startswith("#"):
                 if line.startswith(_NODE_COUNT_DIRECTIVE):
                     try:
                         declared_nodes = int(line.split()[1])

@@ -168,9 +168,6 @@ class TrainReport:
             "theta_d_checksum": self.theta_d_checksum,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 @dataclass
 class TrainState:
@@ -364,7 +361,7 @@ def checkpoint(state: TrainState, path: str | Path) -> None:
             "config": state.config.to_dict(),
             "epochs_done": state.epochs_done,
             "graph": state.graph_fingerprint,
-            "rng_state": _jsonable_rng(state.rng_state),
+            "rng_state": state.rng_state,
             "rows": state.theta_j.rows,
             "dim": state.theta_j.dim,
         },
@@ -420,11 +417,3 @@ def resume(path: str | Path) -> TrainState:
         rng_state=header["rng_state"],
         graph_fingerprint=header["graph"],
     )
-
-
-def _jsonable_rng(state: dict) -> dict:
-    out = copy.deepcopy(state)
-    inner = out.get("state")
-    if isinstance(inner, dict):
-        out["state"] = {k: int(v) for k, v in inner.items()}
-    return out

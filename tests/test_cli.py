@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from sgembed import EdgeListSpec, load_edge_list, save_edge_list, synth_balanced
@@ -18,6 +19,15 @@ FAST_SETS = [
     "--set", "samples_per_center=3",
     "--set", "batch_size=8",
 ]
+
+
+def csv_cells(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def rate_cell(value):
+    """A rate as the CSVs write it."""
+    return f"{value:.6f}"
 
 
 @pytest.fixture
@@ -94,7 +104,22 @@ def test_predict_with_pretrained_embeddings(tmp_path, graph_file):
     # the table was trained on every edge: no leakage mode applies
     assert payload["leakage_mode"] == "precomputed"
     assert payload["schema_version"] == 2
-    assert (out / "metrics.csv").exists()
+    header, *rows = csv_cells(out / "metrics.csv")
+    assert header == [
+        "fold", "n_pp", "n_pn", "n_np", "n_nn",
+        "precision_pos", "precision_neg", "recall_pos", "recall_neg",
+        "paper_micro_f1", "standard_micro_f1",
+    ]
+    assert sorted(header[1:]) == sorted(payload["folds"][0])
+    assert len(rows) == 3
+    for i, (row, fold) in enumerate(zip(rows, payload["folds"])):
+        assert row[0] == str(i)
+        for name, cell in zip(header[1:], row[1:]):
+            value = fold[name]
+            if name.startswith("n_"):
+                assert cell == str(value)  # counts as written
+            else:
+                assert cell == rate_cell(value)
 
 
 def test_predict_trains_when_no_embeddings(tmp_path, graph_file):
@@ -137,11 +162,26 @@ def test_sweep_command(tmp_path, graph_file):
         *FAST_SETS, "--output-dir", str(out),
     ])
     assert rc == 0
-    rows = (out / "sweep.csv").read_text().strip().splitlines()
-    assert rows[0] == "fraction,repeat,paper_micro_f1,standard_micro_f1"
-    assert len(rows) == 5
+    header, *rows = csv_cells(out / "sweep.csv")
+    assert header == ["fraction", "repeat", "paper_micro_f1", "standard_micro_f1"]
+    assert len(rows) == 4
     payload = json.loads((out / "sweep.json").read_text())
     assert [c["fraction"] for c in payload["cells"]] == [0.2, 0.4]
+    # one row per repeat; the JSON cell holds their mean and deviation,
+    # which the six-decimal rates bound to within half their last digit
+    for i, cell in enumerate(payload["cells"]):
+        reps = rows[i * 2 : (i + 1) * 2]
+        assert [r[:2] for r in reps] == [
+            [str(cell["fraction"]), str(r)] for r in range(cell["repeats"])
+        ]
+        paper, standard = (np.array([float(r[c]) for r in reps]) for c in (2, 3))
+        assert [r[2:] for r in reps] == [
+            [rate_cell(p), rate_cell(s)] for p, s in zip(paper, standard)
+        ]
+        half = 5e-7 + 1e-12
+        assert abs(paper.mean() - cell["mean_paper_micro_f1"]) <= half
+        assert abs(paper.std() - cell["std_paper_micro_f1"]) <= half
+        assert abs(standard.mean() - cell["mean_standard_micro_f1"]) <= half
 
 
 def test_check_theorems_synthetic(capsys):

@@ -60,6 +60,10 @@ def embedding_from(rows):
     return EmbeddingMatrix(values=np.asarray(rows, dtype=float))
 
 
+def no_training(*args, **kwargs):
+    raise AssertionError("train must not run")
+
+
 def edge_row(emb, u, v, mode):
     """Feature vector of the single edge (u, v)."""
     return edge_feature_matrix(emb, [u], [v], mode)[0]
@@ -552,6 +556,38 @@ class TestKfoldLinkPrediction:
                 emb, g, fold_of, [3], EdgeFeatureMode.HADAMARD
             )
 
+    @pytest.mark.parametrize("leakage", ["strict", "fast", "precomputed"])
+    def test_bad_use_embeddings_rejected_before_training(
+        self, monkeypatch, leakage
+    ):
+        monkeypatch.setattr(evalkit, "train", no_training)
+        g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=3)
+        kwargs = {"leakage_mode": leakage}
+        if leakage == "precomputed":
+            kwargs = {"embeddings": embedding_from(np.ones((12, 2)))}
+        with pytest.raises(ValueError, match="use_embeddings"):
+            kfold_link_prediction(
+                g, 3, train_cfg=FAST_CFG, use_embeddings="theta_g", **kwargs
+            )
+
+    @pytest.mark.parametrize("use, index", [("generator", 0), ("discriminator", 1)])
+    def test_use_embeddings_selects_its_trained_table(
+        self, monkeypatch, use, index
+    ):
+        g = random_connected_graph(30, 80, 1)
+        rng = np.random.default_rng(1)
+        tables = [embedding_from(rng.normal(size=(30, 3))) for _ in range(2)]
+        monkeypatch.setattr(evalkit, "train", lambda *_: (*tables, None))
+        got = kfold_link_prediction(
+            g, 3, train_cfg=FAST_CFG, leakage_mode="fast", use_embeddings=use
+        )
+        scored = [
+            kfold_link_prediction(g, 3, train_cfg=FAST_CFG, embeddings=t)
+            for t in tables
+        ]
+        folds = [[f.to_dict() for f in r.folds] for r in (got, *scored)]
+        assert folds[0] == folds[1 + index] != folds[2 - index]
+
     def test_fast_and_strict_modes_run(self):
         g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=2)
         for leakage in ("fast", "strict"):
@@ -682,6 +718,16 @@ class TestSparsitySweep:
         g = random_connected_graph(8, 10, 0)
         report = sparsity_sweep(g, fractions=(), repeats=2, train_cfg=FAST_CFG)
         assert report.cells == []
+
+    @pytest.mark.parametrize("fractions", [(0.2, 1.5), (0.4, -0.1)])
+    def test_bad_fraction_rejected_before_any_cell(self, monkeypatch, fractions):
+        monkeypatch.setattr(evalkit, "train", no_training)
+        g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=3)
+        with pytest.raises(ValueError, match=f"fraction {fractions[1]} "):
+            sparsity_sweep(
+                g, fractions=fractions, repeats=1, k_folds=3,
+                train_cfg=FAST_CFG, leakage_mode="fast",
+            )
 
     def test_small_sweep_shape_and_csv(self):
         g = synth_balanced(2, 8, 1.0, 0.9, 0.0, seed=5)

@@ -433,6 +433,25 @@ class TestTouchedRowsStep:
         cfg = TrainConfig(outer_epochs=1, d_epochs=2, g_epochs=2, seed=4)
         assert_same_run(train(g, cfg), dense_train(monkeypatch, g, cfg))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_d_updates_with_repeated_endpoints_match_dense(self, seed):
+        # endpoints from 6 of 40 nodes repeat within and across u and v,
+        # so most rows take several terms in the gradient's one scatter
+        rng = np.random.default_rng(seed)
+        sparse = init_embeddings(40, 8, seed)
+        dense = sparse.copy()
+        for _ in range(20):
+            u = rng.integers(0, 6, 32)
+            v = (u + rng.integers(1, 6, 32)) % 6
+            batch = edge_batch(
+                u, v, rng.choice([1, -1], 32), rng.random(32) < 0.5
+            )
+            got = discriminator.update(sparse, batch, 0.5)
+            want = oracles.dense_update(dense, batch, 0.5)
+            assert got.objective == want.objective
+        assert sparse.checksum() == dense.checksum()
+        assert sparse.values.tobytes() == dense.values.tobytes()
+
     def test_resumed_run_matches_dense(self, monkeypatch, tmp_path):
         g = random_connected_graph(30, 60, 4)
         path = tmp_path / "a.ckpt"
