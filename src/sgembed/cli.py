@@ -113,7 +113,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     g, checksum = _load_graph(args)
     cfg = _train_config(args)
-    feature = evalkit.EdgeFeatureMode.from_string(args.feature)
+    feature = evalkit.EdgeFeatureMode(args.feature)
     inputs = {str(args.graph): checksum}
     embeddings = None
     if args.emb:
@@ -152,7 +152,7 @@ def _cmd_predict(args) -> int:
 def _cmd_sweep(args) -> int:
     g, checksum = _load_graph(args)
     cfg = _train_config(args)
-    feature = evalkit.EdgeFeatureMode.from_string(args.feature)
+    feature = evalkit.EdgeFeatureMode(args.feature)
     fractions = [float(x) for x in args.fractions.split(",") if x]
     config = {
         "train": cfg.to_dict(),
@@ -265,6 +265,7 @@ def _cmd_check_theorems(args) -> int:
     emb_rng = np.random.default_rng(seed_root.spawn(1)[0])
     max_norm_dev = 0.0
     max_decay_violation = 0.0
+    trees = 0
     for g in graphs:
         emb = init_embeddings(
             g.node_count, args.dim, int(emb_rng.integers(2**32))
@@ -273,6 +274,7 @@ def _cmd_check_theorems(args) -> int:
             tree = treewalk.build_bfs_tree(g, root)
             if tree.covered_count < 2:
                 continue
+            trees += 1
             table = treewalk.relevance_table(emb, tree)
             _, p_pos, p_neg = treewalk.tree_distribution(table, tree)
             max_norm_dev = max(
@@ -281,6 +283,10 @@ def _cmd_check_theorems(args) -> int:
             mass = table.cum_pos + table.cum_neg
             rise = float((mass[1:] - mass[tree.parent_pos[1:]]).max())
             max_decay_violation = max(max_decay_violation, rise)
+    print(f"checked {trees} trees on {len(graphs)} graphs")
+    if not trees:
+        print("no tree covers two nodes: nothing to check [FAIL]")
+        return 1
     norm_ok = max_norm_dev <= args.tolerance
     decay_ok = max_decay_violation <= 1e-12
     print(

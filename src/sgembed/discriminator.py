@@ -9,11 +9,9 @@ log(score) over true edges and log(1 - score) over generated ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .generator import DivergenceError, EmbeddingMatrix
+from .generator import EmbeddingMatrix, pair_gradient, step_rows
 from .sgraph import SignedGraph
 
 EDGE_DTYPE = np.dtype(
@@ -77,39 +75,18 @@ def batch_gradient(emb: EmbeddingMatrix, batch: np.ndarray) -> tuple:
     z = signs * np.einsum("ij,ij->i", values[iu], values[iv])
     s = _sigmoid(z)
     coef = np.where(true, 1.0 - s, -s) * signs / len(batch)
-    # one scatter of u's terms, then v's, over flat (row, column) slots,
-    # which np.add.at runs on its fast 1-D path
-    partner = np.concatenate([iv, iu])
-    pieces = np.concatenate([coef, coef])[:, None] * values[partner]
-    slots = slot[:, None] * emb.dim + np.arange(emb.dim)
-    grad = np.zeros_like(values)
-    np.add.at(grad.reshape(-1), slots.ravel(), pieces.ravel())
     terms = np.where(true, -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z))
-    return rows, grad, float(terms.mean())
-
-
-@dataclass
-class DiscriminatorUpdateReport:
-    objective: float
-    gradient_norm: float
-    batch_size: int
+    return rows, pair_gradient(values, iu, iv, coef), float(terms.mean())
 
 
 def update(
     emb: EmbeddingMatrix, batch: np.ndarray, learning_rate: float
-) -> DiscriminatorUpdateReport:
-    """One gradient-ascent step on the mean batch objective; only the
-    batch's endpoint rows are read, written and checked for finiteness."""
+) -> tuple[float, float]:
+    """One gradient-ascent step on the mean batch objective, returned with
+    the gradient's norm as ``(objective, gradient_norm)``; only the batch's
+    endpoint rows are read, written and checked for finiteness."""
     if not len(batch):
         raise ValueError("batch must be nonempty")
     rows, grad, value = batch_gradient(emb, batch)
-    if not np.isfinite(grad).all():
-        raise DivergenceError("non-finite discriminator gradient")
-    emb.values[rows] += learning_rate * grad
-    if not np.isfinite(emb.values[rows]).all():
-        raise DivergenceError("discriminator update left non-finite embeddings")
-    return DiscriminatorUpdateReport(
-        objective=value,
-        gradient_norm=float(np.linalg.norm(grad)),
-        batch_size=len(batch),
-    )
+    step_rows(emb, rows, learning_rate * grad, "discriminator")
+    return value, float(np.linalg.norm(grad))

@@ -36,16 +36,6 @@ class EdgeFeatureMode(enum.Enum):
     AVERAGE = "avg"
     CONCAT = "concat"
 
-    @classmethod
-    def from_string(cls, text: str) -> "EdgeFeatureMode":
-        try:
-            return cls(text.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown feature mode {text!r}; expected one of "
-                f"{[m.value for m in cls]}"
-            ) from None
-
 
 def edge_feature_matrix(
     emb: EmbeddingMatrix, us, vs, mode: EdgeFeatureMode
@@ -490,6 +480,8 @@ def balance_audit(
     number of positive edges without replacement; APED (positive) below
     ANED (negative) indicates extended structural balance.
     """
+    if not 0.0 < sample_fraction <= 1.0:
+        raise ValueError(f"sample_fraction {sample_fraction} must be in (0, 1]")
     pos = np.flatnonzero(g.edge_sign > 0)
     neg = np.flatnonzero(g.edge_sign < 0)
     if not len(neg):
@@ -590,6 +582,8 @@ def sparsity_sweep(
     """
     if train_cfg is None:
         train_cfg = TrainConfig()
+    if repeats < 1:
+        raise ValueError(f"repeats {repeats} must be at least 1")
     fractions = list(fractions)
     for fraction in fractions:
         if not 0.0 <= fraction < 1.0:

@@ -10,7 +10,6 @@ reward.
 from __future__ import annotations
 
 import hashlib
-import logging
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,8 +23,6 @@ from .treewalk import (
     sample_walk,
     touched_nodes,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class DivergenceError(RuntimeError):
@@ -127,26 +124,39 @@ def init_embeddings(node_count: int, dim: int, seed) -> EmbeddingMatrix:
 
 def generate_fakes(
     emb: EmbeddingMatrix, tree: BfsTree, count: int, rng: np.random.Generator
-) -> WalkBatch | None:
+) -> WalkBatch:
     """Draw ``count`` fake signed neighbors of the tree's root as one batch.
 
-    Builds the relevance table once and samples every walk from it. A tree
-    that covers only its root (an isolated center) yields None with a
-    logged warning.
+    Builds the relevance table once and samples every walk from it. Raises
+    ValueError when the tree covers only its root (an isolated center).
     """
     if count <= 0:
         raise ValueError("count must be positive")
     if tree.covered_count < 2:
-        logger.warning("center %d is isolated; no fakes generated", tree.root)
-        return None
+        raise ValueError(f"center {tree.root} is isolated")
     return sample_walk(relevance_table(emb, tree), tree, rng, count)
 
 
-@dataclass
-class GeneratorUpdateReport:
-    gradient_norm: float
-    samples_used: int
-    nodes_touched: int
+def pair_gradient(values: np.ndarray, a, b, coef) -> np.ndarray:
+    """Gradient of sum_i coef[i] * values[a[i]] . values[b[i]] with respect
+    to ``values``: row a[i] takes coef[i] * values[b[i]] and row b[i] takes
+    coef[i] * values[a[i]]. The a-side terms and then the b-side terms go
+    in one scatter over flat (row, column) slots, which ``np.add.at`` runs
+    on its fast 1-D path."""
+    dim = values.shape[1]
+    slots = np.concatenate([a, b])[:, None] * dim + np.arange(dim)
+    terms = np.concatenate([coef, coef])[:, None] * values[np.concatenate([b, a])]
+    grad = np.zeros_like(values)
+    np.add.at(grad.reshape(-1), slots.ravel(), terms.ravel())
+    return grad
+
+
+def step_rows(emb: EmbeddingMatrix, rows, step: np.ndarray, who: str) -> None:
+    """Add ``step`` to the distinct ``rows`` of ``emb``; raises
+    DivergenceError if any of those rows is then not finite."""
+    emb.values[rows] += step
+    if not np.isfinite(emb.values[rows]).all():
+        raise DivergenceError(f"{who} update left non-finite embeddings")
 
 
 def walk_logprob_gradient(
@@ -166,8 +176,7 @@ def walk_logprob_gradient(
     with the step probabilities read from the batch's table, which must
     have been built from ``emb``. Every term pairs two tree positions, so
     hop terms and neighbor terms (weighted by the reward leaving each
-    position) go into ``grad`` in one symmetric scatter, over flat (row,
-    column) slots so that ``np.add.at`` takes numpy's fast 1-D path.
+    position) go into one ``pair_gradient``.
     """
     tree, table = batch.tree, batch.table
     src, dst = tree.directed_edges()
@@ -180,28 +189,24 @@ def walk_logprob_gradient(
     q = table.pos[nbr] - table.neg[nbr]
     coef = np.concatenate([weight * batch.step_signs, -leaving[src[nbr]] * q])
     touched = touched_nodes(tree, hop_src)
-    grad = np.zeros((len(touched), emb.dim))
-    slots = np.searchsorted(touched, np.concatenate([x, y]))[:, None] * emb.dim
-    other = emb.values[tree.order[np.concatenate([y, x])]]
-    terms = np.concatenate([coef, coef])[:, None] * other
-    np.add.at(grad.reshape(-1), (slots + np.arange(emb.dim)).ravel(), terms.ravel())
-    return tree.order[touched], grad
+    rows = tree.order[touched]
+    a, b = np.searchsorted(touched, x), np.searchsorted(touched, y)
+    return rows, pair_gradient(emb.values[rows], a, b, coef)
 
 
 def policy_gradient_update(
     emb: EmbeddingMatrix,
-    batch: WalkBatch | None,
+    batch: WalkBatch,
     rewards: np.ndarray,
     learning_rate: float,
-) -> GeneratorUpdateReport:
-    """One REINFORCE descent step over a batch of rewarded walks.
+) -> float:
+    """One REINFORCE descent step over a batch of rewarded walks; returns
+    the gradient's norm.
 
     Descends the mean of reward * grad log P(walk); ``rewards`` holds one
     finite value per walk (the trainer's clamped log(1 - D)). Only the
     rows the walks touch are read, written and checked for finiteness.
     """
-    if not batch:
-        return GeneratorUpdateReport(0.0, 0, 0)
     rewards = np.asarray(rewards, dtype=float)
     bad = ~np.isfinite(rewards)
     if bad.any():
@@ -209,11 +214,5 @@ def policy_gradient_update(
         raise ValueError(f"non-finite reward on sample for node {node}")
     rows, grad = walk_logprob_gradient(emb, batch, rewards)
     grad /= len(batch)
-    emb.values[rows] -= learning_rate * grad
-    if not np.isfinite(emb.values[rows]).all():
-        raise DivergenceError("generator update left non-finite embeddings")
-    return GeneratorUpdateReport(
-        gradient_norm=float(np.linalg.norm(grad)),
-        samples_used=len(batch),
-        nodes_touched=len(rows),
-    )
+    step_rows(emb, rows, -learning_rate * grad, "generator")
+    return float(np.linalg.norm(grad))

@@ -296,13 +296,13 @@ def train(
                         center, fakes.targets, fakes.signs, False
                     )
                     for i in range(0, len(combined), cfg.batch_size):
-                        rep = discriminator.update(
+                        objective, norm = discriminator.update(
                             theta_d,
                             combined[i : i + cfg.batch_size],
                             cfg.learning_rate,
                         )
-                        d_losses.append(-rep.objective)
-                        d_norms.append(rep.gradient_norm)
+                        d_losses.append(-objective)
+                        d_norms.append(norm)
             for _ in range(cfg.g_epochs):
                 for center in stream.permutation(g.node_count).tolist():
                     if not active[center]:
@@ -310,14 +310,12 @@ def train(
                     fakes = generator.generate_fakes(
                         theta_j, tree_for(center), cfg.samples_per_center, stream
                     )
-                    if not fakes:
-                        continue
                     rewards = _rewards(theta_d, fakes, cfg.reward_clamp)
-                    rep = generator.policy_gradient_update(
+                    norm = generator.policy_gradient_update(
                         theta_j, fakes, rewards, cfg.learning_rate
                     )
                     g_rewards.append(float(rewards.mean()))
-                    g_norms.append(rep.gradient_norm)
+                    g_norms.append(norm)
         except (DivergenceError, FloatingPointError) as exc:
             raise diverged(exc) from exc
 

@@ -14,8 +14,8 @@ from collections import deque
 
 import numpy as np
 
-from sgembed import Sign, WalkBatch, touched_nodes
-from sgembed.discriminator import DiscriminatorUpdateReport, _sigmoid
+from sgembed import Sign, WalkBatch
+from sgembed.discriminator import _sigmoid
 from sgembed.evalkit import (
     MAX_ITERATIONS,
     RIDGE,
@@ -25,11 +25,7 @@ from sgembed.evalkit import (
     fold_metrics,
     logreg_predict_proba,
 )
-from sgembed.generator import (
-    DivergenceError,
-    GeneratorUpdateReport,
-    walk_logprob_gradient,
-)
+from sgembed.generator import DivergenceError, walk_logprob_gradient
 
 
 def flip(sign):
@@ -416,17 +412,11 @@ def dense_update(emb, batch, learning_rate):
     emb.values += learning_rate * grad
     if not np.isfinite(emb.values).all():
         raise DivergenceError("discriminator update left non-finite embeddings")
-    return DiscriminatorUpdateReport(
-        objective=value,
-        gradient_norm=float(np.linalg.norm(grad)),
-        batch_size=len(batch),
-    )
+    return value, float(np.linalg.norm(grad))
 
 
 def dense_policy_gradient_update(emb, batch, rewards, learning_rate):
     """``generator.policy_gradient_update`` through a full-table gradient."""
-    if not batch:
-        return GeneratorUpdateReport(0.0, 0, 0)
     rewards = np.asarray(rewards, dtype=float)
     bad = ~np.isfinite(rewards)
     if bad.any():
@@ -438,12 +428,7 @@ def dense_policy_gradient_update(emb, batch, rewards, learning_rate):
     emb.values -= learning_rate * grad
     if not np.isfinite(emb.values).all():
         raise DivergenceError("generator update left non-finite embeddings")
-    src, _ = batch.tree.directed_edges()
-    return GeneratorUpdateReport(
-        gradient_norm=float(np.linalg.norm(grad)),
-        samples_used=len(batch),
-        nodes_touched=len(touched_nodes(batch.tree, src[batch.hops])),
-    )
+    return float(np.linalg.norm(grad))
 
 
 def log_loss(features, labels, weights, bias):

@@ -202,6 +202,37 @@ def test_check_theorems_on_file(graph_file, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "graphs", [["--graphs", "0"], ["--graphs", "2", "--nodes", "1"]]
+)
+def test_check_theorems_fails_when_no_tree_is_checked(capsys, graphs):
+    rc = main(["check-theorems", *graphs, "--extra-edges", "0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "checked 0 trees" in out
+    assert "PASS" not in out
+
+
+def test_check_theorems_counts_its_trees(capsys):
+    # a 30-node connected graph: every root's tree covers two nodes or more
+    rc = main(["check-theorems", "--graphs", "2", "--nodes", "30"])
+    assert rc == 0
+    assert "checked 60 trees on 2 graphs" in capsys.readouterr().out
+
+
+def test_audit_rejects_fraction_outside_unit_interval(
+    tmp_path, graph_file, caplog
+):
+    emb = tmp_path / "zeros.emb"
+    EmbeddingMatrix(values=np.zeros((16, 2))).save(emb)
+    rc = main([
+        "audit", "--graph", str(graph_file), "--emb", str(emb),
+        "--fraction", "-0.5", "--output-dir", str(tmp_path / "audit"),
+    ])
+    assert rc == 1
+    assert "sample_fraction -0.5 must be in (0, 1]" in caplog.text
+
+
 def test_unknown_flag_exits_nonzero(graph_file):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--graph", str(graph_file), "--frobnicate"])

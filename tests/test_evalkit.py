@@ -1,6 +1,7 @@
 """Tests for edge features, logistic regression, k-fold, and audits."""
 
 import json
+import re
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -136,9 +137,9 @@ class TestEdgeFeatures:
             edge_row(self.emb, 1, 1, EdgeFeatureMode.L1)
 
     def test_mode_parsing(self):
-        assert EdgeFeatureMode.from_string("Hadamard") is EdgeFeatureMode.HADAMARD
+        assert EdgeFeatureMode("hadamard") is EdgeFeatureMode.HADAMARD
         with pytest.raises(ValueError):
-            EdgeFeatureMode.from_string("cosine")
+            EdgeFeatureMode("cosine")
 
 
 class TestLogisticRegression:
@@ -713,6 +714,17 @@ class TestBalanceAudit:
             balance_audit(emb, g, sample_fraction=0.1, seed=0)
 
 
+    @pytest.mark.parametrize("fraction", [-0.5, 0.0, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        g = random_connected_graph(20, 60, 3)
+        emb = EmbeddingMatrix(values=np.zeros((20, 2)))
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"sample_fraction {fraction} must be in (0, 1]"),
+        ):
+            balance_audit(emb, g, sample_fraction=fraction, seed=0)
+
+
 class TestSparsitySweep:
     def test_empty_fraction_list(self):
         g = random_connected_graph(8, 10, 0)
@@ -726,6 +738,18 @@ class TestSparsitySweep:
         with pytest.raises(ValueError, match=f"fraction {fractions[1]} "):
             sparsity_sweep(
                 g, fractions=fractions, repeats=1, k_folds=3,
+                train_cfg=FAST_CFG, leakage_mode="fast",
+            )
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_rejected_before_any_cell(
+        self, monkeypatch, repeats
+    ):
+        monkeypatch.setattr(evalkit, "train", no_training)
+        g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=3)
+        with pytest.raises(ValueError, match=f"repeats {repeats} must be"):
+            sparsity_sweep(
+                g, fractions=(0.2,), repeats=repeats, k_folds=3,
                 train_cfg=FAST_CFG, leakage_mode="fast",
             )
 

@@ -448,7 +448,7 @@ class TestTouchedRowsStep:
             )
             got = discriminator.update(sparse, batch, 0.5)
             want = oracles.dense_update(dense, batch, 0.5)
-            assert got.objective == want.objective
+            assert got[0] == want[0]
         assert sparse.checksum() == dense.checksum()
         assert sparse.values.tobytes() == dense.values.tobytes()
 
@@ -482,14 +482,15 @@ class TestTouchedRowsStep:
         )
         dense, before = j_emb.copy(), j_emb.copy()
         rewards = rng.uniform(-3.0, 0.0, 5)
-        rep = generator.policy_gradient_update(j_emb, fakes, rewards, 0.5)
+        rows, _ = generator.walk_logprob_gradient(j_emb, fakes, rewards)
+        generator.policy_gradient_update(j_emb, fakes, rewards, 0.5)
         oracles.dense_policy_gradient_update(dense, fakes, rewards, 0.5)
         assert j_emb.values.tobytes() == dense.values.tobytes()
         src, _ = fakes.tree.directed_edges()
         touched = fakes.tree.order[
             generator.touched_nodes(fakes.tree, src[fakes.hops])
         ]
-        assert rep.nodes_touched == len(touched) < 40
+        assert np.array_equal(rows, touched) and len(touched) < 40
         outside = np.setdiff1d(np.arange(40), touched)
         assert (
             j_emb.values[outside].tobytes() == before.values[outside].tobytes()
