@@ -300,6 +300,18 @@ def _cmd_check_theorems(args) -> int:
     return 0 if (norm_ok and decay_ok) else 1
 
 
+def _count(low: int):
+    """An argparse type for integers of at least ``low``; argparse names
+    the flag in its error."""
+
+    def count(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return count
+
+
 def _add_graph_args(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--graph", required=required, help="signed edge-list file")
     p.add_argument(
@@ -393,10 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
         "random graphs when it is absent)",
     )
     _add_graph_args(p, required=False)
-    p.add_argument("--graphs", type=int, default=10)
-    p.add_argument("--nodes", type=int, default=100)
-    p.add_argument("--extra-edges", type=int, default=150)
-    p.add_argument("--dim", type=int, default=8)
+    p.add_argument("--graphs", type=_count(0), default=10)
+    p.add_argument("--nodes", type=_count(1), default=100)
+    p.add_argument("--extra-edges", type=_count(0), default=150)
+    p.add_argument("--dim", type=_count(1), default=8)
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_check_theorems)

@@ -37,47 +37,43 @@ class EdgeFeatureMode(enum.Enum):
     CONCAT = "concat"
 
 
+# Bytes of float64 features per chunk of rows that the feature matrix is
+# written in and that a Hessian sums at a time: the per-chunk temporaries
+# stay small and in cache, and none is as large as the matrix.
+CHUNK_BYTES = 256 * 1024
+
+
+def _chunks(m: int, width: int):
+    """Row slices of about CHUNK_BYTES of float64 each over m rows."""
+    rows = max(1, CHUNK_BYTES // (8 * width))
+    return [slice(start, start + rows) for start in range(0, m, rows)]
+
+
 def edge_feature_matrix(
     emb: EmbeddingMatrix, us, vs, mode: EdgeFeatureMode
 ) -> np.ndarray:
-    """One feature row per edge (us[i], vs[i]); every mode is symmetric in
-    the endpoints, and Concat puts the lower node id first."""
+    """One float64 feature row per edge (us[i], vs[i]), written a chunk of
+    rows at a time; every mode is symmetric in the endpoints, and Concat
+    puts the lower node id first."""
     us, vs = np.asarray(us), np.asarray(vs)
     if (us == vs).any():
         raise ValueError("endpoints must differ")
-    x, y = emb.values[np.minimum(us, vs)], emb.values[np.maximum(us, vs)]
-    if mode is EdgeFeatureMode.L1:
-        return np.abs(x - y)
-    if mode is EdgeFeatureMode.L2:
-        return (x - y) ** 2
-    if mode is EdgeFeatureMode.HADAMARD:
-        return x * y
-    if mode is EdgeFeatureMode.AVERAGE:
-        return (x + y) / 2.0
-    return np.concatenate([x, y], axis=1)
-
-
-# Bytes of float64 features per block of the classifier's feature array:
-# a block and its slice of the forward buffer stay in a 2 MiB L2 cache.
-BLOCK_BYTES = 256 * 1024
-
-
-def edge_feature_blocks(
-    emb: EmbeddingMatrix, us, vs, mode: EdgeFeatureMode
-) -> np.ndarray:
-    """``edge_feature_matrix`` of every edge, written block by block into one
-    zero-padded ``(blocks, rows, width)`` array of about BLOCK_BYTES per
-    block; row i of the flattened array is edge i."""
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
     width = emb.dim * (2 if mode is EdgeFeatureMode.CONCAT else 1)
-    rows = max(1, BLOCK_BYTES // (8 * width))
-    blocks = np.zeros((-(-len(us) // rows), rows, width))
-    flat = blocks.reshape(-1, width)
-    for start in range(0, len(us), rows):
-        stop = min(start + rows, len(us))
-        flat[start:stop] = edge_feature_matrix(
-            emb, us[start:stop], vs[start:stop], mode
-        )
-    return blocks
+    out = np.empty((len(us), width))
+    for rows in _chunks(len(us), width):
+        x, y = emb.values[lo[rows]], emb.values[hi[rows]]
+        if mode is EdgeFeatureMode.L1:
+            out[rows] = np.abs(x - y)
+        elif mode is EdgeFeatureMode.L2:
+            out[rows] = (x - y) ** 2
+        elif mode is EdgeFeatureMode.HADAMARD:
+            out[rows] = x * y
+        elif mode is EdgeFeatureMode.AVERAGE:
+            out[rows] = (x + y) / 2.0
+        else:
+            out[rows] = np.concatenate([x, y], axis=1)
+    return out
 
 
 @dataclass
@@ -121,45 +117,36 @@ def logreg_train(
     log-loss plus a RIDGE penalty, from zero init, one model per column of
     ``mask``.
 
-    ``features`` is ``(m, d)``, or ``(blocks, rows, d)`` as from
-    ``edge_feature_blocks``, whose flattened row i is example i and whose
-    rows past ``len(labels)`` are padding. ``labels`` are 0/1 with 1 the
-    positive sign. Column j of the 0/1 ``mask`` ``(len(labels), k)``
-    selects the rows model j trains on; without a mask one model trains on
-    every row. Each iteration is one stacked forward and one stacked
-    backward matmul for all k models, then per unconverged model a
-    (d+1)x(d+1) Hessian summed block by block and one linear solve. A
-    model stops once its largest step is below STEP_TOLERANCE.
+    ``features`` is ``(m, d)`` and ``labels`` are m 0/1 values with 1 the
+    positive sign. Column j of the 0/1 ``mask`` ``(m, k)`` selects the
+    rows model j trains on; without a mask one model trains on every row.
+    Each iteration is one forward and one backward matmul for all k
+    models, then per unconverged model a (d+1)x(d+1) Hessian summed over
+    chunks of rows and one linear solve. A model stops once its largest
+    step is below STEP_TOLERANCE.
     Deterministic (nothing is sampled). Raises FitError, a ValueError
     naming the column, when a column's rows hold only one class or its
     model has not converged within MAX_ITERATIONS iterations.
     """
     x = np.asarray(features, dtype=float)
-    if x.ndim == 2:
-        x = x[None]
-    blocks, rows, dim = x.shape
-    m = len(labels)
-    if not m <= blocks * rows < m + rows:
-        raise ValueError(f"{m} labels for {blocks} blocks of {rows} rows")
-    keep = np.zeros((blocks * rows, 1 if mask is None else mask.shape[1]))
-    keep[:m] = 1.0 if mask is None else mask
+    if x.ndim != 2 or len(x) != len(labels):
+        raise ValueError(f"{len(labels)} labels for features of shape {x.shape}")
+    m, dim = x.shape
+    keep = np.ones((m, 1)) if mask is None else np.asarray(mask, dtype=float)
     k = keep.shape[1]
-    target = np.zeros(blocks * rows)
-    target[:m] = labels
+    target = np.asarray(labels, dtype=float)[:, None]
     count = keep.sum(axis=0)
-    positives = target @ keep
+    positives = target[:, 0] @ keep
     single = np.flatnonzero((positives == 0) | (positives == count))
     if len(single):
         raise FitError(
             int(single[0]), "training data must contain both classes"
         )
-    keep = keep.reshape(blocks, rows, k)
-    target = target.reshape(blocks, rows, 1)
-    x_t = x.transpose(0, 2, 1)
+    chunks = _chunks(m, dim)
     # column j holds model j's weights, then its bias
     theta = np.zeros((dim + 1, k))
-    # one block's rows of [x, 1], each scaled by sqrt(p (1 - p)) of a model
-    scaled = np.empty((rows, dim + 1))
+    # one chunk's rows of [x, 1], each scaled by sqrt(p (1 - p)) of a model
+    scaled = np.empty((chunks[0].stop, dim + 1))
     hess = np.empty((dim + 1, dim + 1))
     active = list(range(k))
     for _ in range(MAX_ITERATIONS):
@@ -168,17 +155,16 @@ def logreg_train(
         # both zero off each model's rows
         root = np.sqrt(p * (1.0 - p)) * keep
         err = (p - target) * keep
-        grad = np.vstack(
-            [np.matmul(x_t, err).sum(axis=0), err.reshape(-1, k).sum(axis=0)]
-        ) / count + RIDGE * theta
+        grad = np.vstack([x.T @ err, err.sum(axis=0)]) / count + RIDGE * theta
         for j in list(active):
             # the Hessian of the mean log-loss is [x, 1]^T diag(p (1 - p))
-            # [x, 1] over the model's rows / count, summed block by block
+            # [x, 1] over the model's rows / count, summed chunk by chunk
             hess.fill(0.0)
-            for b in range(blocks):
-                np.multiply(x[b], root[b, :, j, None], out=scaled[:, :dim])
-                scaled[:, dim] = root[b, :, j]
-                hess += scaled.T @ scaled
+            for rows in chunks:
+                part = scaled[: len(root[rows])]
+                np.multiply(x[rows], root[rows, j, None], out=part[:, :dim])
+                part[:, dim] = root[rows, j]
+                hess += part.T @ part
             hess /= count[j]
             hess.flat[:: dim + 2] += RIDGE
             step = np.linalg.solve(hess, grad[:, j])
@@ -340,6 +326,20 @@ def stratified_edge_folds(
 TABLES = ("generator", "discriminator")
 
 
+def _check_counts(k_folds: int, threads: int) -> None:
+    if k_folds < 2:
+        raise ValueError(f"k_folds {k_folds} must be at least 2")
+    if threads < 1:
+        raise ValueError(f"threads {threads} must be at least 1")
+
+
+def _check_rows(emb: EmbeddingMatrix, g: SignedGraph) -> None:
+    if emb.rows != g.node_count:
+        raise ValueError(
+            f"embedding table has {emb.rows} rows for {g.node_count} nodes"
+        )
+
+
 def _map_jobs(fn, jobs: list, threads: int) -> list:
     """``[fn(job) for job in jobs]``, in a pool of ``threads`` worker
     processes when ``threads`` > 1."""
@@ -354,20 +354,19 @@ def _evaluate_folds(table, g, fold_of, fold_ids, feature_mode):
     that fold, all in one fit over every edge's features from the given
     embedding table, and score each on its own fold's edges. A failed fit
     names its fold, not its column of the fit's mask."""
-    blocks = edge_feature_blocks(table, g.edge_u, g.edge_v, feature_mode)
+    features = edge_feature_matrix(table, g.edge_u, g.edge_v, feature_mode)
     labels = g.edge_sign > 0
     train_mask = fold_of[:, None] != np.asarray(fold_ids)[None, :]
     try:
-        models = logreg_train(blocks, labels, train_mask)
+        models = logreg_train(features, labels, train_mask)
     except FitError as exc:
         raise ValueError(
             f"fold {fold_ids[exc.column]}: {exc.reason}"
         ) from None
-    flat = blocks.reshape(-1, blocks.shape[-1])
     results = []
     for f, model in zip(fold_ids, models):
         test = np.flatnonzero(fold_of == f)
-        y_pred = logreg_predict_proba(model, flat[test]) >= 0.5
+        y_pred = logreg_predict_proba(model, features[test]) >= 0.5
         results.append(fold_metrics(labels[test], y_pred))
     return results
 
@@ -402,10 +401,13 @@ def kfold_link_prediction(
     independent pipelines, so ``threads`` > 1 runs them in parallel with
     results identical to the sequential order.
     """
+    _check_counts(k_folds, threads)
     if leakage_mode not in ("strict", "fast"):
         raise ValueError("leakage_mode must be 'strict' or 'fast'")
     if use_embeddings not in TABLES:
         raise ValueError("use_embeddings must be 'generator' or 'discriminator'")
+    if embeddings is not None:
+        _check_rows(embeddings, g)
     if train_cfg is None:
         train_cfg = TrainConfig()
     seed_root = np.random.SeedSequence(train_cfg.seed)
@@ -482,6 +484,7 @@ def balance_audit(
     """
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError(f"sample_fraction {sample_fraction} must be in (0, 1]")
+    _check_rows(emb, g)
     pos = np.flatnonzero(g.edge_sign > 0)
     neg = np.flatnonzero(g.edge_sign < 0)
     if not len(neg):
@@ -584,6 +587,7 @@ def sparsity_sweep(
         train_cfg = TrainConfig()
     if repeats < 1:
         raise ValueError(f"repeats {repeats} must be at least 1")
+    _check_counts(k_folds, threads)
     fractions = list(fractions)
     for fraction in fractions:
         if not 0.0 <= fraction < 1.0:

@@ -33,15 +33,16 @@ from .sgraph import SignedGraph
 class BfsTree:
     """Shortest-path tree of the root's (possibly depth-capped) component.
 
-    Every array is indexed by BFS position: ``order[i]`` is the i-th
-    covered node in discovery order (``order[0]`` is the root),
-    ``parent_pos[i]`` the position of its parent (-1 at the root) and
-    ``level[i]`` its depth. Tree edge e joins position e + 1 to its parent.
+    ``order`` and ``parent_pos`` are indexed by BFS position: ``order[i]``
+    is the i-th covered node in discovery order (``order[0]`` is the root)
+    and ``parent_pos[i]`` the position of its parent (-1 at the root).
+    Positions level_ptr[l]:level_ptr[l + 1] hold the nodes at depth l, for
+    l = 0 .. depth. Tree edge e joins position e + 1 to its parent.
     """
 
     order: np.ndarray
     parent_pos: np.ndarray
-    level: np.ndarray
+    level_ptr: np.ndarray
 
     @property
     def root(self) -> int:
@@ -53,7 +54,7 @@ class BfsTree:
 
     @property
     def depth(self) -> int:
-        return int(self.level[-1])
+        return len(self.level_ptr) - 2
 
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(source, destination) positions of every directed tree edge.
@@ -107,7 +108,8 @@ def build_bfs_tree(
     return BfsTree(
         order=np.concatenate(levels),
         parent_pos=np.concatenate(parents),
-        level=np.repeat(np.arange(len(levels)), [len(x) for x in levels]),
+        # the last level is empty unless max_depth stopped the search
+        level_ptr=np.cumsum([0, *(len(x) for x in levels if len(x))]),
     )
 
 
@@ -157,9 +159,8 @@ def propagate(table: RelevanceTable, tree: BfsTree) -> RelevanceTable:
     """
     table.cum_pos[0] = 1.0
     table.cum_neg[0] = 0.0
-    # positions are in BFS order, so each level is one contiguous slice,
-    # and the edge into position i is edge i - 1
-    bounds = np.searchsorted(tree.level, np.arange(1, tree.depth + 2)).tolist()
+    # the edge into position i is edge i - 1
+    bounds = tree.level_ptr[1:].tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         p = tree.parent_pos[lo:hi]
         cp, cn = table.cum_pos[p], table.cum_neg[p]
@@ -224,7 +225,9 @@ def sample_walk(
     edge = np.minimum(edge, len(cum) - 1)
     target = edge + 1  # tree edge e enters BFS position e + 1
     hop_ptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(tree.level[target] + 1, out=hop_ptr[1:])
+    # a walk to depth l takes l hops down and one back
+    hops_per_walk = np.searchsorted(tree.level_ptr, target, side="right")
+    np.cumsum(hops_per_walk, out=hop_ptr[1:])
     hops = np.empty(hop_ptr[-1], dtype=np.int64)
     back = hop_ptr[1:] - 1
     hops[back] = edge + len(cum)

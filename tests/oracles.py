@@ -92,8 +92,9 @@ def node_indexed(tree, node_count):
     level = [-1] * node_count
     edge_of_child = [-1] * node_count
     order = tree.order.tolist()
+    depth = np.searchsorted(tree.level_ptr, np.arange(len(order)), "right") - 1
     for i, v in enumerate(order):
-        level[v] = int(tree.level[i])
+        level[v] = int(depth[i])
         if i:
             parent[v] = order[int(tree.parent_pos[i])]
             edge_of_child[v] = i - 1

@@ -220,6 +220,19 @@ def test_check_theorems_counts_its_trees(capsys):
     assert "checked 60 trees on 2 graphs" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flag, value, low",
+    [("--graphs", "-1", 0), ("--extra-edges", "-1", 0),
+     ("--nodes", "0", 1), ("--dim", "0", 1)],
+)
+def test_check_theorems_count_flags_name_themselves(capsys, flag, value, low):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-theorems", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least {low}, got {value}" in err
+
+
 def test_audit_rejects_fraction_outside_unit_interval(
     tmp_path, graph_file, caplog
 ):

@@ -29,7 +29,6 @@ from sgembed import (
     synth_balanced,
 )
 from sgembed import evalkit
-from sgembed.evalkit import BLOCK_BYTES, edge_feature_blocks
 from oracles import (
     dealt_folds,
     hand_paper_micro_f1,
@@ -132,6 +131,18 @@ class TestEdgeFeatures:
             for row, (u, v) in zip(mat, pairs):
                 assert np.array_equal(row, edge_row(self.emb, u, v, mode))
 
+    def test_chunk_size_does_not_change_features(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        emb = EmbeddingMatrix(values=rng.normal(size=(50, 3)))
+        us = rng.integers(0, 50, size=400)
+        vs = (us + rng.integers(1, 50, size=400)) % 50
+        whole = {m: edge_feature_matrix(emb, us, vs, m) for m in EdgeFeatureMode}
+        monkeypatch.setattr(evalkit, "CHUNK_BYTES", 8)  # one row per chunk
+        for mode, expected in whole.items():
+            rows = edge_feature_matrix(emb, us, vs, mode)
+            assert rows.dtype == np.float64
+            assert np.array_equal(rows, expected), mode
+
     def test_same_endpoint_rejected(self):
         with pytest.raises(ValueError):
             edge_row(self.emb, 1, 1, EdgeFeatureMode.L1)
@@ -190,39 +201,38 @@ class TestLogisticRegression:
         assert a.bias == b.bias
 
 
-def blocked_fixture(dim, mode, edges, k, seed):
-    """Blocked features of random edges over a random table, noisy linear
-    labels, and a random fold per edge."""
+def edge_fixture(dim, mode, edges, k, seed):
+    """Features of random edges over a random table, noisy linear labels,
+    and a random fold per edge."""
     rng = np.random.default_rng(seed)
     emb = EmbeddingMatrix(values=rng.normal(size=(50, dim)))
     us = rng.integers(0, 50, size=edges)
     vs = (us + rng.integers(1, 50, size=edges)) % 50
-    blocks = edge_feature_blocks(emb, us, vs, mode)
-    flat = blocks.reshape(-1, blocks.shape[-1])[:edges]
-    score = flat @ rng.normal(size=flat.shape[1])
+    x = edge_feature_matrix(emb, us, vs, mode)
+    score = x @ rng.normal(size=x.shape[1])
     labels = (score + rng.normal(size=edges) > 0).astype(int)
     fold_of = rng.integers(0, k, size=edges)
-    return blocks, flat, labels, fold_of
+    return x, labels, fold_of
 
 
 class TestKModelFit:
     @pytest.mark.parametrize("k", [2, 5])
     @pytest.mark.parametrize(
         "dim, mode, edges",
-        [(1, EdgeFeatureMode.HADAMARD, BLOCK_BYTES // 8 + 1000),
+        [(1, EdgeFeatureMode.HADAMARD, evalkit.CHUNK_BYTES // 8 + 1000),
          (8, EdgeFeatureMode.CONCAT, 5000)],
     )
     def test_each_column_matches_its_own_fit(self, dim, mode, edges, k):
-        blocks, flat, labels, fold_of = blocked_fixture(dim, mode, edges, k, k)
-        rows = blocks.shape[1]
-        assert rows == BLOCK_BYTES // (8 * flat.shape[1])
-        assert len(blocks) > 1 and edges % rows
+        x, labels, fold_of = edge_fixture(dim, mode, edges, k, k)
+        rows = evalkit.CHUNK_BYTES // (8 * x.shape[1])
+        # several chunks of rows, the last one partial
+        assert edges > rows and edges % rows
         mask = fold_of[:, None] != np.arange(k)[None, :]
-        models = logreg_train(blocks, labels, mask)
+        models = logreg_train(x, labels, mask)
         assert len(models) == k
         for f, model in enumerate(models):
             train = fold_of != f
-            expected = newton_logreg(flat[train], labels[train])
+            expected = newton_logreg(x[train], labels[train])
             np.testing.assert_allclose(
                 model.weights, expected.weights, rtol=1e-9, atol=1e-12
             )
@@ -230,14 +240,11 @@ class TestKModelFit:
 
     def test_test_rows_do_not_reach_their_model(self):
         k = 3
-        blocks, flat, labels, fold_of = blocked_fixture(
-            4, EdgeFeatureMode.L1, 3000, k, 7
-        )
+        x, labels, fold_of = edge_fixture(4, EdgeFeatureMode.L1, 3000, k, 7)
         mask = fold_of[:, None] != np.arange(k)[None, :]
-        before = logreg_train(blocks, labels, mask)
-        held = np.flatnonzero(fold_of == 1)
-        changed = blocks.copy()
-        changed.reshape(-1, blocks.shape[-1])[held] *= -3.0
+        before = logreg_train(x, labels, mask)
+        changed = x.copy()
+        changed[fold_of == 1] *= -3.0
         after = logreg_train(changed, labels, mask)
         assert np.array_equal(after[1].weights, before[1].weights)
         assert after[1].bias == before[1].bias
@@ -251,24 +258,34 @@ class TestKModelFit:
         with pytest.raises(ValueError, match="column 2: .*both classes"):
             logreg_train(x, y, mask)
 
-    def test_labels_must_fill_the_last_block(self):
-        blocks, _, labels, _ = blocked_fixture(
-            2, EdgeFeatureMode.AVERAGE, 100, 2, 0
-        )
-        with pytest.raises(ValueError, match="labels"):
-            logreg_train(blocks, labels[:0])
+    def test_features_must_be_one_row_per_label(self):
+        x, labels, _ = edge_fixture(2, EdgeFeatureMode.AVERAGE, 100, 2, 0)
+        for features, y in [(x, labels[:-1]), (x[None], labels)]:
+            with pytest.raises(ValueError, match="labels for features"):
+                logreg_train(features, y)
+
+    def test_chunk_size_does_not_change_models(self, monkeypatch):
+        x, labels, fold_of = edge_fixture(4, EdgeFeatureMode.L2, 3000, 3, 9)
+        mask = fold_of[:, None] != np.arange(3)[None, :]
+        assert len(x) < evalkit.CHUNK_BYTES // (8 * 4)  # one chunk
+        expected = logreg_train(x, labels, mask)
+        monkeypatch.setattr(evalkit, "CHUNK_BYTES", 8)  # one row per chunk
+        for model, other in zip(logreg_train(x, labels, mask), expected):
+            np.testing.assert_allclose(
+                model.weights, other.weights, rtol=1e-9, atol=1e-12
+            )
+            assert model.bias == pytest.approx(other.bias, rel=1e-9)
 
 
-def random_blocks(blocks, rows, dim, k, seed):
-    """A ``(blocks, rows, dim)`` feature array with zero padding in its
-    last block, noisy linear 0/1 labels, and a random fold mask of k
-    columns (None for k=1)."""
+def random_fit(chunks, dim, k, seed):
+    """``(m, dim)`` features that fill ``chunks`` chunks of rows at the
+    default CHUNK_BYTES, the last one partial, noisy linear 0/1 labels,
+    and a random fold mask of k columns (None for k=1)."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(blocks, rows, dim))
-    m = blocks * rows - rows // 3
-    x.reshape(-1, dim)[m:] = 0.0
-    flat = x.reshape(-1, dim)[:m]
-    labels = (flat @ rng.normal(size=dim) + rng.normal(size=m) > 0).astype(int)
+    rows = evalkit.CHUNK_BYTES // (8 * dim)
+    m = chunks * rows - rows // 3
+    x = rng.normal(size=(m, dim))
+    labels = (x @ rng.normal(size=dim) + rng.normal(size=m) > 0).astype(int)
     if k == 1:
         return x, labels, None
     return x, labels, rng.integers(0, k, size=m)[:, None] != np.arange(k)
@@ -282,7 +299,7 @@ def wide_l2_fit():
     rng = np.random.default_rng(3)
     values = inputs.community_embedding(community, 50, 2)
     values += rng.normal(size=values.shape)
-    x = edge_feature_blocks(
+    x = edge_feature_matrix(
         EmbeddingMatrix(values=values), u, v, EdgeFeatureMode.L2
     )
     fold_of = rng.integers(0, 5, size=len(u))
@@ -302,7 +319,7 @@ FITS = {
     "wide_l2": wide_l2_fit,
     "separable": lambda: separable_fit(1.0),
     "separable_features_near_1e4": lambda: separable_fit(5e3),
-    "blocked_k5": lambda: random_blocks(7, 100, 6, 5, 4),
+    "chunked_k5": lambda: random_fit(7, 6, 5, 4),
 }
 # Largest coordinate of a model's objective gradient a converged fit
 # leaves; the fits above leave at most about 7e-15.
@@ -314,15 +331,14 @@ class TestNewtonFit:
     def test_gradient_vanishes_at_return(self, fit):
         x, labels, mask = FITS[fit]()
         models = logreg_train(x, labels, mask)
-        flat = x.reshape(-1, x.shape[-1])[: len(labels)]
         for j, model in enumerate(models):
             rows = slice(None) if mask is None else mask[:, j]
-            grad = ridge_gradient(flat[rows], labels[rows], model)
+            grad = ridge_gradient(x[rows], labels[rows], model)
             assert grad < GRADIENT_BOUND, f"column {j}: {grad:.2e}"
 
     def test_fit_past_the_cap_names_its_column(self, monkeypatch):
         monkeypatch.setattr(evalkit, "MAX_ITERATIONS", 1)
-        x, labels, mask = random_blocks(3, 40, 4, 3, 1)
+        x, labels, mask = random_fit(3, 4, 3, 1)
         with pytest.raises(
             ValueError, match="column 0: no convergence in 1 Newton"
         ):
@@ -365,15 +381,15 @@ class TestLogregTrain:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize(
-        "blocks, k",
-        [(7, 3),   # 7 blocks
-         (2, 2),   # fewer blocks than 3 workers
+        "chunks, k",
+        [(7, 3),
+         (2, 2),
          (5, 1)],  # one model, no mask
     )
-    def test_models_bitwise_equal_at_any_worker_count(self, cpus, blocks, k):
+    def test_models_bitwise_equal_at_any_worker_count(self, cpus, chunks, k):
         # strict folds and sweep cells fit in pool workers, and their
         # results must equal the sequential order's
-        x, labels, mask = random_blocks(blocks, 40, 6, k, blocks * 10 + k)
+        x, labels, mask = random_fit(chunks, 6, k, chunks * 10 + k)
         expected = logreg_train(x, labels, mask)
         with ProcessPoolExecutor(max_workers=cpus) as pool:
             fits = [
@@ -383,17 +399,16 @@ class TestLogregTrain:
             got = [fit.result(timeout=120) for fit in fits]
         for models in got:
             assert_same_models(models, expected)
-        flat = x.reshape(-1, x.shape[-1])[: len(labels)]
         for j, model in enumerate(expected):
             rows = slice(None) if mask is None else mask[:, j]
-            oracle = newton_logreg(flat[rows], labels[rows])
+            oracle = newton_logreg(x[rows], labels[rows])
             np.testing.assert_allclose(
                 model.weights, oracle.weights, rtol=1e-9, atol=1e-12
             )
             assert model.bias == pytest.approx(oracle.bias, rel=1e-9)
 
     def test_worker_error_reaches_the_caller(self):
-        x, labels, mask = random_blocks(4, 20, 3, 2, 6)
+        x, labels, mask = random_fit(4, 3, 2, 6)
         mask[:, 1] &= labels == 1  # column 1 trains on positives only
         with ProcessPoolExecutor(max_workers=2) as pool:
             fit = pool.submit(logreg_train, x, labels, mask)
@@ -405,8 +420,8 @@ class TestLogregTrain:
 
     @pytest.mark.parametrize("leakage", ["strict", "fast"])
     def test_fits_in_pool_jobs_start_no_thread(self, monkeypatch, leakage):
-        # one-row blocks give every fit as many blocks as it has edges
-        monkeypatch.setattr(evalkit, "BLOCK_BYTES", 8)
+        # one-row chunks give every fit as many chunks as it has edges
+        monkeypatch.setattr(evalkit, "CHUNK_BYTES", 8)
         monkeypatch.setattr(evalkit, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(InlinePool, "jobs", 0)
         monkeypatch.setattr(threading, "Thread", no_thread)
@@ -614,6 +629,34 @@ class TestKfoldLinkPrediction:
         par = kfold_link_prediction(g, threads=2, **kwargs)
         assert seq.to_json() == par.to_json()
 
+    @pytest.mark.parametrize("rows", [2, 40])
+    def test_table_must_have_one_row_per_node(self, monkeypatch, rows):
+        monkeypatch.setattr(evalkit, "train", no_training)
+        g = random_connected_graph(20, 60, 3)
+        emb = EmbeddingMatrix(values=np.zeros((rows, 2)))
+        with pytest.raises(
+            ValueError, match=f"table has {rows} rows for 20 nodes"
+        ):
+            kfold_link_prediction(g, 3, train_cfg=FAST_CFG, embeddings=emb)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [({"k_folds": 1}, "k_folds 1 must be at least 2"),
+         ({"k_folds": -1}, "k_folds -1 must be at least 2"),
+         ({"k_folds": -5}, "k_folds -5 must be at least 2"),
+         ({"threads": 0}, "threads 0 must be at least 1"),
+         ({"threads": -3}, "threads -3 must be at least 1")],
+    )
+    def test_bad_counts_rejected_before_any_work(
+        self, monkeypatch, counts, message
+    ):
+        monkeypatch.setattr(evalkit, "train", no_training)
+        g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=3)
+        with pytest.raises(ValueError, match=message):
+            kfold_link_prediction(
+                g, train_cfg=FAST_CFG, **{"k_folds": 3, **counts}
+            )
+
     def test_bad_leakage_mode_rejected(self):
         g = random_connected_graph(6, 8, 0)
         with pytest.raises(ValueError, match="leakage"):
@@ -714,6 +757,15 @@ class TestBalanceAudit:
             balance_audit(emb, g, sample_fraction=0.1, seed=0)
 
 
+    @pytest.mark.parametrize("rows", [2, 40])
+    def test_table_must_have_one_row_per_node(self, rows):
+        g = random_connected_graph(20, 60, 3)
+        emb = EmbeddingMatrix(values=np.zeros((rows, 2)))
+        with pytest.raises(
+            ValueError, match=f"table has {rows} rows for 20 nodes"
+        ):
+            balance_audit(emb, g, sample_fraction=0.4, seed=0)
+
     @pytest.mark.parametrize("fraction", [-0.5, 0.0, 1.5, float("nan")])
     def test_fraction_outside_unit_interval_rejected(self, fraction):
         g = random_connected_graph(20, 60, 3)
@@ -751,6 +803,23 @@ class TestSparsitySweep:
             sparsity_sweep(
                 g, fractions=(0.2,), repeats=repeats, k_folds=3,
                 train_cfg=FAST_CFG, leakage_mode="fast",
+            )
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [({"k_folds": 1}, "k_folds 1 must be at least 2"),
+         ({"k_folds": -5}, "k_folds -5 must be at least 2"),
+         ({"threads": 0}, "threads 0 must be at least 1")],
+    )
+    def test_bad_counts_rejected_before_any_cell(
+        self, monkeypatch, counts, message
+    ):
+        monkeypatch.setattr(evalkit, "train", no_training)
+        g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=3)
+        with pytest.raises(ValueError, match=message):
+            sparsity_sweep(
+                g, fractions=(0.2,), repeats=1, train_cfg=FAST_CFG,
+                leakage_mode="fast", **{"k_folds": 3, **counts},
             )
 
     def test_small_sweep_shape_and_csv(self):

@@ -1,5 +1,6 @@
 """Tests for BFS trees, relevance probabilities, and the tree softmax."""
 
+import itertools
 import math
 
 import networkx as nx
@@ -169,16 +170,25 @@ class TestBfsTree:
             assert tree.order.tolist() == order
 
     def test_arrays_are_covered_sized(self):
-        # two components plus isolated nodes: every per-tree array holds
-        # one entry per covered node, whatever the graph's size
+        # two components plus isolated nodes: order and parent_pos hold one
+        # entry per covered node whatever the graph's size, and level_ptr
+        # one offset per level plus the end
         g = SignedGraph.from_edges(
             9, [(0, 1, P), (1, 2, N), (0, 3, P), (5, 6, N), (6, 7, P)]
         )
-        for root in range(9):
-            tree = build_bfs_tree(g, root)
-            arrays = [a for a in vars(tree).values() if isinstance(a, np.ndarray)]
-            assert len(arrays) == 3
-            assert {len(a) for a in arrays} == {tree.covered_count}
+        for root, max_depth in itertools.product(range(9), [None, 0, 1, 2]):
+            tree = build_bfs_tree(g, root, max_depth)
+            arrays = {
+                k for k, a in vars(tree).items() if isinstance(a, np.ndarray)
+            }
+            assert arrays == {"order", "parent_pos", "level_ptr"}
+            assert len(tree.order) == tree.covered_count
+            assert len(tree.parent_pos) == tree.covered_count
+            _, level, _ = queue_bfs(g, root, max_depth)
+            assert tree.depth == max(level)
+            assert len(tree.level_ptr) == tree.depth + 2
+            assert tree.level_ptr[-1] == tree.covered_count
+            assert np.diff(tree.level_ptr).min() > 0
 
 
 class TestRelevance:
