@@ -44,14 +44,16 @@ def _meta(config: dict, inputs: dict[str, str]) -> dict:
     }
 
 
-def _load_graph(args) -> tuple[SignedGraph, str]:
+def _load_graph(args, path=None) -> tuple[SignedGraph, sgraph.LoadReport, str]:
+    """Load ``path`` (default ``--graph``) under the --delimiter and
+    --threshold flags; returns the graph, its load report and the file's
+    checksum."""
+    path = path or args.graph
     spec = EdgeListSpec(
-        path=args.graph,
-        delimiter=args.delimiter,
-        rating_threshold=args.threshold,
+        path=path, delimiter=args.delimiter, rating_threshold=args.threshold
     )
-    graph, _ = sgraph.load_edge_list(spec)
-    return graph, _file_checksum(args.graph)
+    graph, report = sgraph.load_edge_list(spec)
+    return graph, report, _file_checksum(path)
 
 
 def _train_config(args) -> trainer.TrainConfig:
@@ -85,7 +87,7 @@ def _write_report(out: Path, name: str, report, meta: dict, csv_rows=None):
 
 
 def _cmd_train(args) -> int:
-    g, checksum = _load_graph(args)
+    g, _, checksum = _load_graph(args)
     cfg = _train_config(args)
     out = Path(args.output_dir)
     # the checkpoint is written into it during training
@@ -110,33 +112,39 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
-    g, checksum = _load_graph(args)
+def _eval_setup(args):
+    """What predict and sweep share: the graph and its checksum, the
+    evaluation keyword arguments, and the effective config's shared
+    keys."""
+    g, _, checksum = _load_graph(args)
     cfg = _train_config(args)
-    feature = evalkit.EdgeFeatureMode(args.feature)
+    kwargs = {
+        "k_folds": args.folds,
+        "feature_mode": evalkit.EdgeFeatureMode(args.feature),
+        "train_cfg": cfg,
+        "leakage_mode": args.leakage,
+        "threads": args.threads,
+    }
+    config = {
+        "train": cfg.to_dict(),
+        "feature": args.feature,
+        "leakage": args.leakage,
+        "folds": args.folds,
+    }
+    return g, checksum, kwargs, config
+
+
+def _cmd_predict(args) -> int:
+    g, checksum, kwargs, config = _eval_setup(args)
+    config.update(use_embeddings=args.use, precomputed_embeddings=bool(args.emb))
     inputs = {str(args.graph): checksum}
     embeddings = None
     if args.emb:
         embeddings = EmbeddingMatrix.load(args.emb)
         inputs[str(args.emb)] = _file_checksum(args.emb)
-    config = {
-        "train": cfg.to_dict(),
-        "feature": feature.value,
-        "leakage": args.leakage,
-        "folds": args.folds,
-        "use_embeddings": args.use,
-        "precomputed_embeddings": bool(args.emb),
-    }
     logger.info("effective config: %s", json.dumps(config, sort_keys=True))
     report = evalkit.kfold_link_prediction(
-        g,
-        k_folds=args.folds,
-        feature_mode=feature,
-        train_cfg=cfg,
-        leakage_mode=args.leakage,
-        embeddings=embeddings,
-        use_embeddings=args.use,
-        threads=args.threads,
+        g, embeddings=embeddings, use_embeddings=args.use, **kwargs
     )
     _write_report(
         Path(args.output_dir), "metrics", report, _meta(config, inputs),
@@ -150,30 +158,15 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    g, checksum = _load_graph(args)
-    cfg = _train_config(args)
-    feature = evalkit.EdgeFeatureMode(args.feature)
+    g, checksum, kwargs, config = _eval_setup(args)
     fractions = [float(x) for x in args.fractions.split(",") if x]
-    config = {
-        "train": cfg.to_dict(),
-        "feature": feature.value,
-        "leakage": args.leakage,
-        "folds": args.folds,
-        "fractions": fractions,
-        "repeats": args.repeats,
-        "seed": args.seed if args.seed is not None else cfg.seed,
-    }
+    # cells seed from the train config's seed, which --seed has set
+    config.update(
+        fractions=fractions, repeats=args.repeats, seed=kwargs["train_cfg"].seed
+    )
     logger.info("effective config: %s", json.dumps(config, sort_keys=True))
     report = evalkit.sparsity_sweep(
-        g,
-        fractions=fractions,
-        repeats=args.repeats,
-        k_folds=args.folds,
-        feature_mode=feature,
-        train_cfg=cfg,
-        leakage_mode=args.leakage,
-        seed=config["seed"],
-        threads=args.threads,
+        g, fractions=fractions, repeats=args.repeats, **kwargs
     )
     _write_report(
         Path(args.output_dir), "sweep", report,
@@ -188,7 +181,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    g, checksum = _load_graph(args)
+    g, _, checksum = _load_graph(args)
     emb = EmbeddingMatrix.load(args.emb)
     config = {"fraction": args.fraction, "seed": args.seed or 0}
     audit = evalkit.balance_audit(
@@ -229,18 +222,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    spec = EdgeListSpec(
-        path=args.input,
-        delimiter=args.delimiter,
-        rating_threshold=args.threshold,
-    )
-    g, report = sgraph.load_edge_list(spec)
+    g, report, checksum = _load_graph(args, args.input)
     sgraph.save_edge_list(
         g,
         args.output,
         comments=[
             f"sgembed {__version__} convert",
-            f"input={args.input} checksum={_file_checksum(args.input)}",
+            f"input={args.input} checksum={checksum}",
         ],
     )
     print(
@@ -253,8 +241,7 @@ def _cmd_convert(args) -> int:
 def _cmd_check_theorems(args) -> int:
     seed_root = np.random.SeedSequence(args.seed or 0)
     if args.graph:
-        g, _ = _load_graph(args)
-        graphs = [g]
+        graphs = [_load_graph(args)[0]]
     else:
         graphs = [
             sgraph.random_connected_graph(

@@ -573,15 +573,15 @@ def sparsity_sweep(
     feature_mode: EdgeFeatureMode = EdgeFeatureMode.HADAMARD,
     train_cfg: TrainConfig | None = None,
     leakage_mode: str = "strict",
-    seed: int = 0,
     threads: int = 1,
 ) -> SweepReport:
     """Robustness sweep: repeated sparse graphs per removal fraction.
 
-    Each (fraction, repeat) cell draws an independently seeded sparse
-    graph and runs the full train + predict pipeline; results aggregate to
-    mean and standard deviation per fraction. Cells are independent, so
-    ``threads`` > 1 parallelizes them without changing the results.
+    Each (fraction, repeat) cell draws a sparse graph and a train seed,
+    both spawned from ``train_cfg.seed``, and runs the full train +
+    predict pipeline; results aggregate to mean and standard deviation
+    per fraction. Cells are independent, so ``threads`` > 1 parallelizes
+    them without changing the results.
     """
     if train_cfg is None:
         train_cfg = TrainConfig()
@@ -592,7 +592,9 @@ def sparsity_sweep(
     for fraction in fractions:
         if not 0.0 <= fraction < 1.0:
             raise ValueError(f"fraction {fraction} must be in [0, 1)")
-    children = np.random.SeedSequence(seed).spawn(len(fractions) * repeats)
+    children = np.random.SeedSequence(train_cfg.seed).spawn(
+        len(fractions) * repeats
+    )
     jobs = []
     for i, fraction in enumerate(fractions):
         for r in range(repeats):

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .sgraph import text_lines
 from .treewalk import (
     BfsTree,
     WalkBatch,
@@ -55,23 +56,20 @@ class EmbeddingMatrix:
     def save(self, path: str | Path, comments=()) -> None:
         """Text export: optional '#' comments, "rows dim" header, then one
         line per node with the id and 17-significant-digit coordinates."""
+        lines = [f"# {line}" for line in comments]
         with open(path, "wt", encoding="utf-8") as fh:
-            for line in comments:
-                fh.write(f"# {line}\n")
-            fh.write(f"{self.rows} {self.dim}\n")
-            for i in range(self.rows):
-                coords = " ".join(f"{x:.17g}" for x in self.values[i])
-                fh.write(f"{i} {coords}\n")
+            np.savetxt(
+                fh, np.column_stack([np.arange(self.rows), self.values]),
+                fmt="%d " + " ".join(["%.17g"] * self.dim), comments="",
+                header="\n".join([*lines, f"{self.rows} {self.dim}"]),
+            )
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingMatrix":
         """Read the ``save`` format. Raises ValueError, with the path and
-        line number, on a malformed line or a non-finite coordinate."""
-        with open(path, "rt", encoding="utf-8") as fh:
-            lines = [
-                (lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1)
-                if ln.strip() and not ln.startswith("#")
-            ]
+        line number, on a malformed line, a non-UTF-8 byte or a non-finite
+        coordinate."""
+        lines = list(text_lines(path))
         if not lines:
             raise ValueError(f"{path}: empty embedding file")
         lineno, header = lines[0]

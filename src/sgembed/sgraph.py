@@ -190,14 +190,43 @@ class LoadReport:
         )
 
 
+def text_lines(path: str | Path, error=ValueError, keep: str | None = None):
+    """Yield (line number, stripped line) for each line of the UTF-8 text
+    file at ``path`` that is neither blank nor a comment. A comment is a
+    line whose first non-blank character is ``#``; one that starts with
+    ``keep`` is yielded too. Lines end at any of the universal newlines.
+
+    A byte sequence that is not UTF-8 raises ``error`` naming its
+    ``path:line``; OSError passes through.
+    """
+    try:
+        with open(path, "rt", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and (line[0] != "#" or (keep and line.startswith(keep))):
+                    yield lineno, line
+    except UnicodeDecodeError:
+        # the text layer decodes in chunks, so locate the byte in the file
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the lines before the bad byte, plus the one holding it
+            lineno = len((data[: exc.start] + b"?").splitlines())
+            raise error(
+                f"{path}:{lineno}: not UTF-8 (byte {data[exc.start]:#04x})"
+            ) from None
+        raise
+
+
 def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
     """Read a signed edge list, returning the cleaned graph and its report.
 
     Node ids are remapped to dense integers in first-appearance order.
     Duplicate unordered pairs are resolved by sign majority; exact ties are
     dropped. Self-loops are dropped. Raises EdgeListError on unreadable
-    files, malformed lines or non-finite values (with the line number),
-    or when no node survives.
+    files, malformed lines, non-UTF-8 bytes or non-finite values (with the
+    line number), or when no node survives.
     """
     path = Path(spec.path)
     remap: dict[int, int] = {}
@@ -205,26 +234,19 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
     counts: dict[tuple[int, int], list[int]] = {}
     report = LoadReport(path=str(path))
     declared_nodes: int | None = None
+    lines = text_lines(path, EdgeListError, keep=_NODE_COUNT_DIRECTIVE)
     try:
-        fh = open(path, "rt", encoding="utf-8")
-    except OSError as exc:
-        raise EdgeListError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith(_NODE_COUNT_DIRECTIVE):
-                    try:
-                        declared_nodes = int(line.split()[1])
-                    except (IndexError, ValueError):
-                        raise EdgeListError(
-                            f"{path}:{lineno}: bad node-count directive"
-                        ) from None
-                    # identity pre-registration keeps ids stable on reload
-                    for i in range(declared_nodes):
-                        remap.setdefault(i, len(remap))
+        for lineno, line in lines:
+            if line[0] == "#":  # a directive: text_lines drops other comments
+                try:
+                    declared_nodes = int(line.split()[1])
+                except (IndexError, ValueError):
+                    declared_nodes = -1  # fails below, as a negative count
+                if declared_nodes < 0:
+                    raise EdgeListError(f"{path}:{lineno}: bad node-count directive")
+                # identity pre-registration keeps ids stable on reload
+                for i in range(declared_nodes):
+                    remap.setdefault(i, len(remap))
                 continue
             parts = line.split(spec.delimiter)
             if len(parts) < 3:
@@ -258,6 +280,8 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
             pair = (u, v) if u < v else (v, u)
             report.duplicate_lines += pair in counts
             counts.setdefault(pair, [0, 0])[0 if positive else 1] += 1
+    except OSError as exc:
+        raise EdgeListError(f"cannot read {path}: {exc}") from exc
 
     node_count = len(remap)
     if declared_nodes is not None:
@@ -294,11 +318,12 @@ def save_edge_list(
     A ``#%nodes`` directive records the node count so reloading restores
     graphs with isolated nodes exactly.
     """
+    lines = [f"# {line}" for line in comments]
     with open(path, "wt", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(f"{_NODE_COUNT_DIRECTIVE} {g.node_count}\n")
-        np.savetxt(fh, g.edge_triples(), fmt="%d")
+        np.savetxt(
+            fh, g.edge_triples(), fmt="%d", comments="",
+            header="\n".join([*lines, f"{_NODE_COUNT_DIRECTIVE} {g.node_count}"]),
+        )
 
 
 def top_degree_subgraph(g: SignedGraph, n: int) -> SignedGraph:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import discriminator, generator
 from .generator import DivergenceError, EmbeddingMatrix, init_embeddings
-from .sgraph import SignedGraph
+from .sgraph import SignedGraph, text_lines
 from .treewalk import BfsTree, build_bfs_tree
 
 logger = logging.getLogger(__name__)
@@ -82,9 +83,7 @@ class TrainConfig:
             raise ValueError("reward_clamp low bound exceeds high bound")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["reward_clamp"] = list(self.reward_clamp)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -95,20 +94,16 @@ class TrainConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
         overrides: dict[str, str] = {}
-        with open(path, "rt", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                try:
-                    cls().merged({key: value}).validate()
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                overrides[key] = value
+        for lineno, line in text_lines(path):
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            try:
+                cls().merged({key: value}).validate()
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            overrides[key] = value
         return cls().merged(overrides)
 
     def merged(self, overrides: dict[str, str]) -> "TrainConfig":
@@ -161,12 +156,7 @@ class TrainReport:
     theta_d_checksum: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "epochs": [e.to_dict() for e in self.epochs],
-            "theta_j_checksum": self.theta_j_checksum,
-            "theta_d_checksum": self.theta_d_checksum,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -181,15 +171,18 @@ class TrainState:
     graph_fingerprint: str
 
 
-def _snapshot(cfg, epochs_done, theta_j, theta_d, stream, graph) -> TrainState:
-    return TrainState(
-        config=cfg,
-        epochs_done=epochs_done,
-        theta_j=theta_j.copy(),
-        theta_d=theta_d.copy(),
-        rng_state=copy.deepcopy(stream.bit_generator.state),
-        graph_fingerprint=graph,
-    )
+def _seeded_state(g: SignedGraph, cfg: TrainConfig | None, fingerprint: str):
+    """Epoch 0 of a fresh run: both tables and the sample stream seeded
+    from ``cfg.seed``."""
+    if cfg is None:
+        raise ValueError("cfg is required when not resuming")
+    cfg.validate()
+    if g.node_count == 0:
+        raise ValueError("graph is empty")
+    *table_ss, stream_ss = np.random.SeedSequence(cfg.seed).spawn(3)
+    tables = [init_embeddings(g.node_count, cfg.embedding_dim, s) for s in table_ss]
+    rng_state = np.random.default_rng(stream_ss).bit_generator.state
+    return TrainState(cfg, 0, *tables, rng_state, fingerprint)
 
 
 def _rewards(theta_d, fakes, clamp):
@@ -216,45 +209,38 @@ def train(
     re-raised).
     """
     fingerprint = g.fingerprint()
-    if resume_from is not None:
-        state = resume_from
-        if state.graph_fingerprint != fingerprint:
-            raise ValueError(
-                f"checkpoint was trained on graph {state.graph_fingerprint}, "
-                f"not on this graph ({fingerprint})"
-            )
-        if cfg is None:
-            cfg = state.config
-        elif replace(cfg, outer_epochs=0) != replace(state.config, outer_epochs=0):
-            raise ValueError("resume config may differ only in outer_epochs")
-        cfg.validate()
-        theta_j = state.theta_j.copy()
-        theta_d = state.theta_d.copy()
-        stream = np.random.default_rng()
-        stream.bit_generator.state = copy.deepcopy(state.rng_state)
-        start_epoch = state.epochs_done
-    else:
-        if cfg is None:
-            raise ValueError("cfg is required when not resuming")
-        cfg.validate()
-        if g.node_count == 0:
-            raise ValueError("graph is empty")
-        j_ss, d_ss, stream_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-        theta_j = init_embeddings(g.node_count, cfg.embedding_dim, j_ss)
-        theta_d = init_embeddings(g.node_count, cfg.embedding_dim, d_ss)
-        stream = np.random.default_rng(stream_ss)
-        start_epoch = 0
+    state = resume_from or _seeded_state(g, cfg, fingerprint)
+    if state.graph_fingerprint != fingerprint:
+        raise ValueError(
+            f"checkpoint was trained on graph {state.graph_fingerprint}, "
+            f"not on this graph ({fingerprint})"
+        )
+    if cfg is None:
+        cfg = state.config
+    elif replace(cfg, outer_epochs=0) != replace(state.config, outer_epochs=0):
+        raise ValueError("resume config may differ only in outer_epochs")
+    cfg.validate()
+    theta_j = state.theta_j.copy()
+    theta_d = state.theta_d.copy()
+    stream = np.random.default_rng()
+    stream.bit_generator.state = copy.deepcopy(state.rng_state)
 
-    trees: dict[int, BfsTree] = {}
-
+    @functools.cache
     def tree_for(center: int) -> BfsTree:
-        if center not in trees:
-            trees[center] = build_bfs_tree(g, center, cfg.max_tree_depth)
-        return trees[center]
+        return build_bfs_tree(g, center, cfg.max_tree_depth)
 
     active = np.diff(g.indptr) > 0
+
+    def passes(count: int):
+        """The active centers of ``count`` passes, each in a fresh
+        permutation drawn from the stream when the pass starts."""
+        for _ in range(count):
+            for center in stream.permutation(g.node_count).tolist():
+                if active[center]:
+                    yield center
+
     epochs: list[EpochStats] = []
-    last_good = _snapshot(cfg, start_epoch, theta_j, theta_d, stream, fingerprint)
+    last_good = replace(state, config=cfg)
 
     def diverged(exc: Exception) -> TrainingDiverged:
         if checkpoint_path is not None:
@@ -267,7 +253,7 @@ def train(
         if len(bad):
             raise diverged(DivergenceError(f"{name} row {bad[0]} is not finite"))
 
-    for epoch in range(start_epoch, cfg.outer_epochs):
+    for epoch in range(state.epochs_done, cfg.outer_epochs):
         t0 = time.perf_counter()
         d_losses: list[float] = []
         d_norms: list[float] = []
@@ -275,47 +261,41 @@ def train(
         g_norms: list[float] = []
         n_true = n_fake = n_true_pos = 0
         try:
-            for _ in range(cfg.d_epochs):
-                for center in stream.permutation(g.node_count).tolist():
-                    if not active[center]:
-                        continue
-                    true_batch = discriminator.sample_true_batch(
-                        g, center, cfg.samples_per_center, stream
+            for center in passes(cfg.d_epochs):
+                true_batch = discriminator.sample_true_batch(
+                    g, center, cfg.samples_per_center, stream
+                )
+                fakes = generator.generate_fakes(
+                    theta_j, tree_for(center), cfg.samples_per_center, stream
+                )
+                n_true += len(true_batch)
+                n_fake += len(fakes)
+                n_true_pos += int(np.count_nonzero(true_batch["sign"] > 0))
+                # interleave so every chunk stays balanced; both batches
+                # hold samples_per_center edges
+                combined = np.empty(2 * len(fakes), discriminator.EDGE_DTYPE)
+                combined[0::2] = true_batch
+                combined[1::2] = discriminator.edge_batch(
+                    center, fakes.targets, fakes.signs, False
+                )
+                for i in range(0, len(combined), cfg.batch_size):
+                    objective, norm = discriminator.update(
+                        theta_d,
+                        combined[i : i + cfg.batch_size],
+                        cfg.learning_rate,
                     )
-                    fakes = generator.generate_fakes(
-                        theta_j, tree_for(center), cfg.samples_per_center, stream
-                    )
-                    n_true += len(true_batch)
-                    n_fake += len(fakes)
-                    n_true_pos += int(np.count_nonzero(true_batch["sign"] > 0))
-                    # interleave so every chunk stays balanced; both
-                    # batches hold samples_per_center edges
-                    combined = np.empty(2 * len(fakes), discriminator.EDGE_DTYPE)
-                    combined[0::2] = true_batch
-                    combined[1::2] = discriminator.edge_batch(
-                        center, fakes.targets, fakes.signs, False
-                    )
-                    for i in range(0, len(combined), cfg.batch_size):
-                        objective, norm = discriminator.update(
-                            theta_d,
-                            combined[i : i + cfg.batch_size],
-                            cfg.learning_rate,
-                        )
-                        d_losses.append(-objective)
-                        d_norms.append(norm)
-            for _ in range(cfg.g_epochs):
-                for center in stream.permutation(g.node_count).tolist():
-                    if not active[center]:
-                        continue
-                    fakes = generator.generate_fakes(
-                        theta_j, tree_for(center), cfg.samples_per_center, stream
-                    )
-                    rewards = _rewards(theta_d, fakes, cfg.reward_clamp)
-                    norm = generator.policy_gradient_update(
-                        theta_j, fakes, rewards, cfg.learning_rate
-                    )
-                    g_rewards.append(float(rewards.mean()))
-                    g_norms.append(norm)
+                    d_losses.append(-objective)
+                    d_norms.append(norm)
+            for center in passes(cfg.g_epochs):
+                fakes = generator.generate_fakes(
+                    theta_j, tree_for(center), cfg.samples_per_center, stream
+                )
+                rewards = _rewards(theta_d, fakes, cfg.reward_clamp)
+                norm = generator.policy_gradient_update(
+                    theta_j, fakes, rewards, cfg.learning_rate
+                )
+                g_rewards.append(float(rewards.mean()))
+                g_norms.append(norm)
         except (DivergenceError, FloatingPointError) as exc:
             raise diverged(exc) from exc
 
@@ -338,7 +318,10 @@ def train(
             epoch, epochs[-1].d_loss, epochs[-1].g_reward,
             epochs[-1].wall_time,
         )
-        last_good = _snapshot(cfg, epoch + 1, theta_j, theta_d, stream, fingerprint)
+        last_good = TrainState(
+            cfg, epoch + 1, theta_j.copy(), theta_d.copy(),
+            copy.deepcopy(stream.bit_generator.state), fingerprint,
+        )
 
     report = TrainReport(
         config=cfg,
@@ -401,12 +384,10 @@ def resume(path: str | Path) -> TrainState:
         raise CheckpointError(f"{path}: unsupported version {version}")
     off += 6
     header = json.loads(payload[off : off + header_len].decode("utf-8"))
-    off += header_len
     rows, dim = header["rows"], header["dim"]
-    size = rows * dim * 8
-    theta_j = np.frombuffer(payload[off : off + size]).reshape(rows, dim).copy()
-    off += size
-    theta_d = np.frombuffer(payload[off : off + size]).reshape(rows, dim).copy()
+    theta_j, theta_d = np.frombuffer(
+        payload, count=2 * rows * dim, offset=off + header_len
+    ).reshape(2, rows, dim).copy()
     return TrainState(
         config=TrainConfig.from_dict(header["config"]),
         epochs_done=header["epochs_done"],

@@ -829,9 +829,8 @@ class TestSparsitySweep:
             fractions=(0.2, 0.4),
             repeats=2,
             k_folds=3,
-            train_cfg=FAST_CFG,
+            train_cfg=replace(FAST_CFG, seed=7),
             leakage_mode="fast",
-            seed=7,
         )
         assert [c.fraction for c in report.cells] == [0.2, 0.4]
         assert all(c.repeats == 2 for c in report.cells)
@@ -843,7 +842,7 @@ class TestSparsitySweep:
         g = synth_balanced(2, 8, 1.0, 0.9, 0.0, seed=5)
         kwargs = dict(
             fractions=(0.3,), repeats=2, k_folds=3,
-            train_cfg=FAST_CFG, leakage_mode="fast", seed=1,
+            train_cfg=replace(FAST_CFG, seed=1), leakage_mode="fast",
         )
         a = sparsity_sweep(g, **kwargs)
         b = sparsity_sweep(g, **kwargs)
@@ -853,7 +852,7 @@ class TestSparsitySweep:
         g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=6)
         kwargs = dict(
             fractions=(0.2, 0.4), repeats=2, k_folds=3,
-            train_cfg=FAST_CFG, leakage_mode="fast", seed=2,
+            train_cfg=replace(FAST_CFG, seed=2), leakage_mode="fast",
         )
         seq = sparsity_sweep(g, threads=1, **kwargs)
         par = sparsity_sweep(g, threads=2, **kwargs)
@@ -870,7 +869,7 @@ class TestSparsitySweep:
             g_epochs=4,
             samples_per_center=8,
             batch_size=32,
-            seed=4,
+            seed=17,
         )
         report = sparsity_sweep(
             g,
@@ -879,7 +878,6 @@ class TestSparsitySweep:
             k_folds=3,
             train_cfg=cfg,
             leakage_mode="fast",
-            seed=17,
         )
         light, heavy = report.cells
         assert light.mean_paper_micro_f1 > 0.9  # pipeline actually learns

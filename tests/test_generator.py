@@ -117,6 +117,18 @@ class TestEmbeddingIO:
         with pytest.raises(ValueError, match=r"bad\.emb:3: bad embedding line"):
             EmbeddingMatrix.load(path)
 
+    def test_load_names_a_non_utf8_line(self, tmp_path):
+        path = tmp_path / "bad.emb"
+        path.write_bytes(b"2 2\n0 0.5 0.5\n1 0.25 \xfe0.75\n")
+        with pytest.raises(ValueError, match=r"bad\.emb:3: not UTF-8"):
+            EmbeddingMatrix.load(path)
+
+    def test_indented_comment_is_not_a_row(self, tmp_path):
+        path = tmp_path / "e.emb"
+        path.write_text("2 2\n  # x\n0 0.5 0.5\n1 0.25 0.75\n")
+        back = EmbeddingMatrix.load(path)
+        assert back.values.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+
     def test_load_zero_rows_without_warning(self, tmp_path):
         path = tmp_path / "empty.emb"
         path.write_text("0 3\n")

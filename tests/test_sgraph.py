@@ -275,6 +275,21 @@ class TestLoadEdgeList:
         g, _ = load_edge_list(EdgeListSpec(path=p))
         assert g.edge_count == 1
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_bytes(b"0 1 1\n1 2 \xff\n")
+        with pytest.raises(EdgeListError, match=r"g\.edges:2: not UTF-8"):
+            load_edge_list(EdgeListSpec(path=p))
+
+    @pytest.mark.parametrize("count", ["-3", "x", ""])
+    def test_bad_node_count_directive_names_its_line(self, tmp_path, count):
+        p = tmp_path / "g.edges"
+        p.write_text(f"# comment\n#%nodes {count}\n0 1 1\n")
+        with pytest.raises(
+            EdgeListError, match=r"g\.edges:2: bad node-count directive"
+        ):
+            load_edge_list(EdgeListSpec(path=p))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(4))

@@ -126,6 +126,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=r"train\.cfg:2: unknown config key"):
             TrainConfig.from_file(path)
 
+    def test_non_utf8_line_in_a_file_names_its_line(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_bytes(b"# comment\r\nseed=1\r\nlearning_rate=0.\xc35\r\n")
+        with pytest.raises(ValueError, match=r"train\.cfg:3: not UTF-8"):
+            TrainConfig.from_file(path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0).validate()
