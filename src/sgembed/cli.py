@@ -1,9 +1,13 @@
 """Command-line driver.
 
 Subcommands: train, predict, sweep, audit, check-theorems, synth, convert.
-Every command echoes its effective configuration, stamps outputs with a
-tool version, config hash, and input checksum, and never mutates its
-inputs. All randomness derives from --seed.
+No command mutates its inputs. train, predict and sweep log their
+effective configuration, stamp their reports with a tool version, config
+hash and input checksums, and take their randomness from the config's
+seed, which --seed overrides. audit stamps its report the same way and
+synth stamps its edge list with its config hash; both, and
+check-theorems, draw from --seed (default 0). convert is deterministic,
+has no --seed, and stamps its output with the input's checksum.
 """
 
 from __future__ import annotations
@@ -159,14 +163,14 @@ def _cmd_predict(args) -> int:
 
 def _cmd_sweep(args) -> int:
     g, checksum, kwargs, config = _eval_setup(args)
-    fractions = [float(x) for x in args.fractions.split(",") if x]
     # cells seed from the train config's seed, which --seed has set
     config.update(
-        fractions=fractions, repeats=args.repeats, seed=kwargs["train_cfg"].seed
+        fractions=args.fractions, repeats=args.repeats,
+        seed=kwargs["train_cfg"].seed,
     )
     logger.info("effective config: %s", json.dumps(config, sort_keys=True))
     report = evalkit.sparsity_sweep(
-        g, fractions=fractions, repeats=args.repeats, **kwargs
+        g, fractions=args.fractions, repeats=args.repeats, **kwargs
     )
     _write_report(
         Path(args.output_dir), "sweep", report,
@@ -299,6 +303,15 @@ def _count(low: int):
     return count
 
 
+def _floats(text: str) -> list[float]:
+    """An argparse type for comma-separated floats, empty items skipped;
+    argparse names the flag in its error."""
+    try:
+        return [float(x) for x in text.split(",") if x]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_graph_args(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--graph", required=required, help="signed edge-list file")
     p.add_argument(
@@ -320,7 +333,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override one config value (repeatable)",
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
 
 
 def _add_eval_args(p: argparse.ArgumentParser) -> None:
@@ -368,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sparsity robustness sweep")
     _add_graph_args(p)
     _add_train_args(p)
-    p.add_argument("--fractions", default="0.2,0.4,0.6,0.8")
+    p.add_argument("--fractions", type=_floats, default="0.2,0.4,0.6,0.8")
     p.add_argument("--repeats", type=int, default=5)
     _add_eval_args(p)
     p.add_argument(
@@ -382,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--emb", required=True)
     p.add_argument("--fraction", type=float, default=0.4)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=_cmd_audit)
 
@@ -397,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra-edges", type=_count(0), default=150)
     p.add_argument("--dim", type=_count(1), default=8)
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
     p.set_defaults(func=_cmd_check_theorems)
 
     p = sub.add_parser("synth", help="write a planted-partition signed graph")
@@ -406,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-intra", type=float, default=0.3)
     p.add_argument("--p-inter", type=float, default=0.2)
     p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_synth)
 

@@ -4,14 +4,15 @@ A batch of labeled edges is one structured array of ``EDGE_DTYPE``: per
 edge its endpoints ``u`` and ``v``, its int8 ``sign`` (+1/-1) and whether
 it is ``true`` (drawn from the graph) or generated. The score of a signed
 edge is sigma(sign * d_u . d_v); the objective to ascend is the mean of
-log(score) over true edges and log(1 - score) over generated ones.
+log(score) over true edges and log(1 - score) over generated ones, and
+the generator's reward for a generated edge is its clamped log(1 - score).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .generator import EmbeddingMatrix, pair_gradient, step_rows
+from .generator import EmbeddingMatrix, pair_gradient, sigmoid, step_rows
 from .sgraph import SignedGraph
 
 EDGE_DTYPE = np.dtype(
@@ -27,15 +28,6 @@ def edge_batch(u, v, sign, true) -> np.ndarray:
     if (batch["u"] == batch["v"]).any():
         raise ValueError("labeled edge endpoints must differ")
     return batch
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def sample_true_batch(
@@ -73,10 +65,18 @@ def batch_gradient(emb: EmbeddingMatrix, batch: np.ndarray) -> tuple:
     iu, iv = np.split(slot, 2)
     values = emb.values[rows]
     z = signs * np.einsum("ij,ij->i", values[iu], values[iv])
-    s = _sigmoid(z)
+    s = sigmoid(z)
     coef = np.where(true, 1.0 - s, -s) * signs / len(batch)
     terms = np.where(true, -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z))
     return rows, pair_gradient(values, iu, iv, coef), float(terms.mean())
+
+
+def rewards(emb: EmbeddingMatrix, fakes, clamp) -> np.ndarray:
+    """log(1 - D) of each fake edge (root, target, sign) of the WalkBatch
+    ``fakes``, clamped to the ``clamp`` interval: the generator's reward."""
+    center = emb.values[fakes.tree.root]
+    z = fakes.signs * (emb.values[fakes.targets] @ center)
+    return np.clip(-np.logaddexp(0.0, z), clamp[0], clamp[1])
 
 
 def update(

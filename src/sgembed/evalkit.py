@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .generator import EmbeddingMatrix
+from .generator import EmbeddingMatrix, sigmoid
 from .sgraph import SignedGraph, inject_sparsity
 from .trainer import TrainConfig, train
 
@@ -150,8 +150,7 @@ def logreg_train(
     hess = np.empty((dim + 1, dim + 1))
     active = list(range(k))
     for _ in range(MAX_ITERATIONS):
-        z = np.clip(x @ theta[:dim] + theta[dim], -500, 500)
-        p = 1.0 / (1.0 + np.exp(-z))
+        p = sigmoid(x @ theta[:dim] + theta[dim])
         # both zero off each model's rows
         root = np.sqrt(p * (1.0 - p)) * keep
         err = (p - target) * keep
@@ -184,8 +183,7 @@ def logreg_train(
 
 
 def logreg_predict_proba(model: LogisticModel, features: np.ndarray) -> np.ndarray:
-    z = features @ model.weights + model.bias
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    return sigmoid(features @ model.weights + model.bias)
 
 
 # The per-fold columns of reports, in CSV order: the confusion counts of
@@ -305,8 +303,9 @@ class MetricsReport:
 
 def stratified_edge_folds(
     g: SignedGraph, k_folds: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Partition edge indices into k folds, stratified by sign.
+) -> np.ndarray:
+    """Each edge's fold in 0..k_folds-1, as one ``(E,)`` int64 label array,
+    stratified by sign.
 
     Each sign's indices are shuffled and dealt round-robin, keeping
     per-fold sign ratios within one edge of the global ratio.
@@ -318,7 +317,7 @@ def stratified_edge_folds(
     for idx in (pos, neg):
         if len(idx):
             fold_of[rng.permutation(idx)] = np.arange(len(idx)) % k_folds
-    return [np.flatnonzero(fold_of == f) for f in range(k_folds)]
+    return fold_of
 
 
 # The use_embeddings values, at the index of the table they name in the
@@ -396,10 +395,12 @@ def kfold_link_prediction(
     pre-trained ``embeddings`` table skips training entirely; leakage is
     then whatever produced the table, and the report's leakage_mode reads
     "precomputed". A table shared by all folds fits their k classifiers
-    in one ``logreg_train`` call. Fold shuffling and per-fold
-    training seeds all derive from train_cfg.seed. Strict-mode folds are
-    independent pipelines, so ``threads`` > 1 runs them in parallel with
-    results identical to the sequential order.
+    in one ``logreg_train`` call. An empty fold, or one whose training
+    split holds a single sign, raises ValueError before any training.
+    Fold shuffling and per-fold training seeds all derive from
+    train_cfg.seed. Strict-mode folds are independent pipelines, so
+    ``threads`` > 1 runs them in parallel with results identical to the
+    sequential order.
     """
     _check_counts(k_folds, threads)
     if leakage_mode not in ("strict", "fast"):
@@ -412,24 +413,20 @@ def kfold_link_prediction(
         train_cfg = TrainConfig()
     seed_root = np.random.SeedSequence(train_cfg.seed)
     fold_ss, fast_ss, *fold_train_ss = seed_root.spawn(2 + k_folds)
-    folds = stratified_edge_folds(
+    fold_of = stratified_edge_folds(
         g, k_folds, np.random.default_rng(fold_ss)
     )
+    for f in range(k_folds):
+        if not (fold_of == f).any():
+            raise ValueError(f"fold {f} is empty; reduce k_folds")
+        train_pos = g.edge_sign[fold_of != f] > 0
+        if train_pos.all() or not train_pos.any():
+            raise ValueError(f"fold {f}: training split has a single class")
 
     table = embeddings
     if table is None and leakage_mode == "fast":
         cfg = replace(train_cfg, seed=int(fast_ss.generate_state(1)[0]))
         table = train(g, cfg)[TABLES.index(use_embeddings)]
-
-    positive = g.edge_sign > 0
-    fold_of = np.empty(g.edge_count, dtype=np.int64)
-    for f, test_idx in enumerate(folds):
-        if len(test_idx) == 0:
-            raise ValueError(f"fold {f} is empty; reduce k_folds")
-        train_pos = np.delete(positive, test_idx)
-        if train_pos.all() or not train_pos.any():
-            raise ValueError(f"fold {f}: training split has a single class")
-        fold_of[test_idx] = f
 
     if table is not None:
         results = _evaluate_folds(

@@ -135,6 +135,12 @@ def generate_fakes(
     return sample_walk(relevance_table(emb, tree), tree, rng, count)
 
 
+def sigmoid(z) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-z)); exp sees only -|z|, never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
 def pair_gradient(values: np.ndarray, a, b, coef) -> np.ndarray:
     """Gradient of sum_i coef[i] * values[a[i]] . values[b[i]] with respect
     to ``values``: row a[i] takes coef[i] * values[b[i]] and row b[i] takes
@@ -202,8 +208,8 @@ def policy_gradient_update(
     the gradient's norm.
 
     Descends the mean of reward * grad log P(walk); ``rewards`` holds one
-    finite value per walk (the trainer's clamped log(1 - D)). Only the
-    rows the walks touch are read, written and checked for finiteness.
+    finite value per walk (``discriminator.rewards``). Only the rows the
+    walks touch are read, written and checked for finiteness.
     """
     rewards = np.asarray(rewards, dtype=float)
     bad = ~np.isfinite(rewards)

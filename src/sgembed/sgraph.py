@@ -226,9 +226,13 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
     Duplicate unordered pairs are resolved by sign majority; exact ties are
     dropped. Self-loops are dropped. Raises EdgeListError on unreadable
     files, malformed lines, non-UTF-8 bytes or non-finite values (with the
-    line number), or when no node survives.
+    line number), a non-finite ``rating_threshold``, or when no node
+    survives.
     """
     path = Path(spec.path)
+    threshold = spec.rating_threshold
+    if threshold is not None and not math.isfinite(threshold):
+        raise EdgeListError(f"rating threshold {threshold} is not finite")
     remap: dict[int, int] = {}
     # unordered pair -> [positive occurrences, negative occurrences]
     counts: dict[tuple[int, int], list[int]] = {}
@@ -270,8 +274,8 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
             if u == v:
                 report.self_loops_dropped += 1
                 continue
-            if spec.rating_threshold is not None:
-                positive = value >= spec.rating_threshold
+            if threshold is not None:
+                positive = value >= threshold
             elif value == 0:
                 report.zero_sign_dropped += 1
                 continue

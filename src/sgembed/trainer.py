@@ -22,6 +22,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import struct
 import time
 from dataclasses import dataclass, replace
@@ -66,21 +67,30 @@ class TrainConfig:
     max_tree_depth: int | None = None
     reward_clamp: tuple[float, float] = (-20.0, 0.0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.embedding_dim <= 0:
             raise ValueError("embedding_dim must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got "
+                f"{self.learning_rate}"
+            )
         if self.outer_epochs < 0:
             raise ValueError("outer_epochs must be non-negative")
         for name in ("d_epochs", "g_epochs", "samples_per_center", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_tree_depth is not None and self.max_tree_depth <= 0:
             raise ValueError("max_tree_depth must be positive when set")
         lo, hi = self.reward_clamp
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError("reward_clamp bounds must not be NaN")
         if lo > hi:
             raise ValueError("reward_clamp low bound exceeds high bound")
+        if lo == math.inf or hi == -math.inf:
+            raise ValueError("reward_clamp admits no finite reward")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -93,18 +103,16 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
-        overrides: dict[str, str] = {}
+        cfg = cls()
         for lineno, line in text_lines(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
             try:
-                cls().merged({key: value}).validate()
+                cfg = cfg.merged({key.strip(): value.strip()})
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            overrides[key] = value
-        return cls().merged(overrides)
+        return cfg
 
     def merged(self, overrides: dict[str, str]) -> "TrainConfig":
         """Apply textual key=value overrides (CLI flags beat file values)."""
@@ -176,20 +184,12 @@ def _seeded_state(g: SignedGraph, cfg: TrainConfig | None, fingerprint: str):
     from ``cfg.seed``."""
     if cfg is None:
         raise ValueError("cfg is required when not resuming")
-    cfg.validate()
     if g.node_count == 0:
         raise ValueError("graph is empty")
     *table_ss, stream_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     tables = [init_embeddings(g.node_count, cfg.embedding_dim, s) for s in table_ss]
     rng_state = np.random.default_rng(stream_ss).bit_generator.state
     return TrainState(cfg, 0, *tables, rng_state, fingerprint)
-
-
-def _rewards(theta_d, fakes, clamp):
-    """Clamped log(1 - D(target, center, sign)) per walk."""
-    center = theta_d.values[fakes.tree.root]
-    z = fakes.signs * (theta_d.values[fakes.targets] @ center)
-    return np.clip(-np.logaddexp(0.0, z), clamp[0], clamp[1])
 
 
 def train(
@@ -219,7 +219,6 @@ def train(
         cfg = state.config
     elif replace(cfg, outer_epochs=0) != replace(state.config, outer_epochs=0):
         raise ValueError("resume config may differ only in outer_epochs")
-    cfg.validate()
     theta_j = state.theta_j.copy()
     theta_d = state.theta_d.copy()
     stream = np.random.default_rng()
@@ -290,7 +289,7 @@ def train(
                 fakes = generator.generate_fakes(
                     theta_j, tree_for(center), cfg.samples_per_center, stream
                 )
-                rewards = _rewards(theta_d, fakes, cfg.reward_clamp)
+                rewards = discriminator.rewards(theta_d, fakes, cfg.reward_clamp)
                 norm = generator.policy_gradient_update(
                     theta_j, fakes, rewards, cfg.learning_rate
                 )

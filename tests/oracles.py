@@ -15,7 +15,6 @@ from collections import deque
 import numpy as np
 
 from sgembed import Sign, WalkBatch
-from sgembed.discriminator import _sigmoid
 from sgembed.evalkit import (
     MAX_ITERATIONS,
     RIDGE,
@@ -25,7 +24,7 @@ from sgembed.evalkit import (
     fold_metrics,
     logreg_predict_proba,
 )
-from sgembed.generator import DivergenceError, walk_logprob_gradient
+from sgembed.generator import DivergenceError, sigmoid, walk_logprob_gradient
 
 
 def flip(sign):
@@ -377,6 +376,17 @@ def dense_walk_logprob_gradient(emb, batch, rewards, out):
     np.add.at(out, y, coef * values[x])
 
 
+def masked_sigmoid(z):
+    """The logistic function in two masked branches: 1 / (1 + exp(-z)) on
+    z >= 0 and exp(z) / (1 + exp(z)) elsewhere."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def objective(emb, batch):
     """Mean batch objective of ``discriminator.batch_gradient``: log
     sigma(z) on true edges, log(1 - sigma(z)) on fake ones, with
@@ -394,7 +404,7 @@ def dense_batch_gradient(emb, batch):
     """Full-table gradient of ``objective``."""
     us, vs, signs = batch["u"], batch["v"], batch["sign"]
     z = signs * np.einsum("ij,ij->i", emb.values[us], emb.values[vs])
-    s = _sigmoid(z)
+    s = sigmoid(z)
     coef = np.where(batch["true"], 1.0 - s, -s) * signs / len(batch)
     grad = np.zeros_like(emb.values)
     np.add.at(grad, us, coef[:, None] * emb.values[vs])
@@ -468,12 +478,14 @@ def ridge_gradient(features, labels, model):
     return max(float(np.abs(grad_w).max()), abs(grad_b))
 
 
-def per_fold_metrics(table, g, folds, feature_mode):
-    """k-fold confusion counts with one classifier fit per fold on that
-    fold's own train and test feature copies."""
+def per_fold_metrics(table, g, fold_of, feature_mode):
+    """k-fold confusion counts with one classifier fit per fold of the
+    fold labels ``fold_of`` on that fold's own train and test feature
+    copies."""
     labels = (g.edge_sign > 0).astype(int)
     results = []
-    for test_idx in folds:
+    for f in range(fold_of.max() + 1):
+        test_idx = np.flatnonzero(fold_of == f)
         train_idx = np.setdiff1d(np.arange(g.edge_count), test_idx)
         feats_train = edge_feature_matrix(
             table, g.edge_u[train_idx], g.edge_v[train_idx], feature_mode

@@ -393,7 +393,8 @@ def test_criterion_8_evaluation_stack_oracles():
         for f in (0.2, 0.4, 0.6, 0.8)
     )
     # fold partitions are exact
-    folds = stratified_edge_folds(g, 5, np.random.default_rng(1))
+    fold_of = stratified_edge_folds(g, 5, np.random.default_rng(1))
+    folds = [np.flatnonzero(fold_of == f) for f in range(5)]
     partition = sorted(np.concatenate(folds).tolist()) == list(
         range(g.edge_count)
     )

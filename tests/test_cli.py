@@ -233,6 +233,42 @@ def test_check_theorems_count_flags_name_themselves(capsys, flag, value, low):
     assert f"argument {flag}: must be at least {low}, got {value}" in err
 
 
+@pytest.mark.parametrize(
+    "command", ["train", "predict", "sweep", "audit", "check-theorems", "synth"]
+)
+def test_negative_seed_names_the_flag(capsys, command):
+    # argparse rejects the value as it parses it, before it asks for the
+    # command's required flags
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+
+
+def test_convert_rejects_non_finite_threshold(tmp_path, caplog):
+    src = tmp_path / "ratings.csv"
+    src.write_text("1,2,5\n2,3,-3\n1,3,1\n")
+    out = tmp_path / "signed.edges"
+    rc = main([
+        "convert", "--input", str(src), "--threshold", "nan",
+        "--delimiter", ",", "--output", str(out),
+    ])
+    assert rc == 1
+    assert "rating threshold nan is not finite" in caplog.text
+    assert not out.exists()
+
+
+def test_bad_fractions_item_names_the_flag(tmp_path, graph_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "sweep", "--graph", str(graph_file), "--fractions", "0.2,x",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --fractions: could not convert string to float: 'x'" in err
+
+
 def test_audit_rejects_fraction_outside_unit_interval(
     tmp_path, graph_file, caplog
 ):

@@ -10,11 +10,15 @@ from sgembed import (
     EmbeddingMatrix,
     Sign,
     SignedGraph,
+    build_bfs_tree,
     edge_batch,
+    generate_fakes,
     init_embeddings,
+    random_connected_graph,
     sample_true_batch,
 )
-from sgembed.discriminator import _sigmoid, batch_gradient, update
+from sgembed.discriminator import batch_gradient, rewards, update
+from sgembed.generator import sigmoid
 
 from oracles import objective, scatter_rows
 
@@ -76,9 +80,26 @@ class TestScore:
         z = batch["sign"] * np.einsum(
             "ij,ij->i", emb.values[batch["u"]], emb.values[batch["v"]]
         )
-        many = _sigmoid(z)
+        many = sigmoid(z)
         for i, (u, v, s, _) in enumerate(batch.tolist()):
             assert many[i] == pytest.approx(score(emb, u, v, Sign(s)))
+
+
+class TestRewards:
+    @pytest.mark.parametrize("clamp", [(-20.0, 0.0), (-0.7, -0.68)])
+    def test_clamped_log_one_minus_score(self, clamp):
+        # each walk's reward is log(1 - D) of its fake edge at the root
+        g = random_connected_graph(12, 20, 3)
+        tree = build_bfs_tree(g, 2)
+        fakes = generate_fakes(
+            init_embeddings(12, 3, 0), tree, 30, np.random.default_rng(1)
+        )
+        emb = init_embeddings(12, 3, 5)
+        expected = [
+            min(max(math.log(1.0 - score(emb, 2, t, Sign(s))), clamp[0]), clamp[1])
+            for t, s in zip(fakes.targets.tolist(), fakes.signs.tolist())
+        ]
+        assert rewards(emb, fakes, clamp) == pytest.approx(expected, abs=1e-12)
 
 
 class TestLabeledEdge:

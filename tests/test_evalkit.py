@@ -482,17 +482,18 @@ class TestFoldMetrics:
 class TestStratifiedFolds:
     @pytest.mark.parametrize("seed", range(3))
     def test_exact_partition(self, seed):
+        # one label per edge, every fold dealt at least one edge
         g = random_connected_graph(30, 80, seed)
-        folds = stratified_edge_folds(g, 5, np.random.default_rng(seed))
-        combined = np.concatenate(folds)
-        assert sorted(combined.tolist()) == list(range(g.edge_count))
+        fold_of = stratified_edge_folds(g, 5, np.random.default_rng(seed))
+        assert fold_of.shape == (g.edge_count,)
+        assert sorted(set(fold_of.tolist())) == list(range(5))
 
     def test_sign_ratio_within_one_edge(self):
         g = random_connected_graph(40, 160, 7)
-        folds = stratified_edge_folds(g, 5, np.random.default_rng(0))
+        fold_of = stratified_edge_folds(g, 5, np.random.default_rng(0))
         signs = g.edge_sign
         pos_total = int((signs > 0).sum())
-        for fold in folds:
+        for fold in (np.flatnonzero(fold_of == f) for f in range(5)):
             pos_fold = int((signs[fold] > 0).sum())
             # round-robin deal keeps counts within 1 of the exact share
             assert abs(pos_fold - pos_total * len(fold) / g.edge_count) <= 1.0
@@ -505,11 +506,12 @@ class TestStratifiedFolds:
             g = SignedGraph.from_edges(
                 g.node_count, [(u, v, N) for u, v, _ in g.edges]
             )
-        for k in (2, 5):
-            folds = stratified_edge_folds(g, k, np.random.default_rng(seed))
+        for k in (2, 3, 5, 10):
+            fold_of = stratified_edge_folds(g, k, np.random.default_rng(seed))
             expected = dealt_folds(g, k, np.random.default_rng(seed))
-            assert [f.tolist() for f in folds] == expected
-            assert all(f.dtype == np.int64 for f in folds)
+            folds = [np.flatnonzero(fold_of == f).tolist() for f in range(k)]
+            assert folds == expected
+            assert fold_of.dtype == np.int64
 
     def test_at_least_two_folds(self):
         g = random_connected_graph(10, 10, 0)
@@ -544,8 +546,8 @@ class TestKfoldLinkPrediction:
         cfg = replace(FAST_CFG, seed=11)
         report = kfold_link_prediction(g, 5, mode, cfg, embeddings=emb)
         fold_ss = np.random.SeedSequence(cfg.seed).spawn(2 + 5)[0]
-        folds = stratified_edge_folds(g, 5, np.random.default_rng(fold_ss))
-        expected = per_fold_metrics(emb, g, folds, mode)
+        fold_of = stratified_edge_folds(g, 5, np.random.default_rng(fold_ss))
+        expected = per_fold_metrics(emb, g, fold_of, mode)
         assert [f.to_dict() for f in report.folds] == [
             f.to_dict() for f in expected
         ]
@@ -558,6 +560,20 @@ class TestKfoldLinkPrediction:
         emb = embedding_from([[1.0], [2.0], [3.0], [4.0]])
         with pytest.raises(ValueError, match="fold 0: .*single class"):
             kfold_link_prediction(g, 2, train_cfg=FAST_CFG, embeddings=emb)
+
+    def test_single_class_training_split_fails_before_training(
+        self, monkeypatch
+    ):
+        # the one negative edge is dealt to fold 0, so fold 0 trains on a
+        # positive edge alone; fast mode must say so before it trains
+        monkeypatch.setattr(evalkit, "train", no_training)
+        g = SignedGraph.from_edges(4, [(0, 1, P), (1, 2, N), (2, 3, P)])
+        with pytest.raises(
+            ValueError, match="^fold 0: training split has a single class"
+        ):
+            kfold_link_prediction(
+                g, 2, train_cfg=FAST_CFG, leakage_mode="fast"
+            )
 
     def test_fit_error_names_the_fold_not_the_column(self, monkeypatch):
         # a strict fold fits one table alone, as column 0 of its fit

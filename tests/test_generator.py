@@ -20,9 +20,10 @@ from sgembed import (
     touched_nodes,
     tree_distribution,
 )
-from sgembed.generator import walk_logprob_gradient
+from sgembed.generator import sigmoid, walk_logprob_gradient
 from oracles import (
     enumerate_walks,
+    masked_sigmoid,
     expected_reward,
     naive_walk_logprob,
     root_path,
@@ -45,6 +46,24 @@ def softmax_at(emb, tree, target, sign):
     nodes, p_pos, p_neg = tree_distribution(relevance_table(emb, tree), tree)
     (i,) = np.flatnonzero(nodes == target)
     return float((p_pos if sign == 1 else p_neg)[i])
+
+
+class TestSigmoid:
+    def test_equals_two_branch_form_bitwise(self):
+        # 1.1M values across every scale, the underflow edge at +-745,
+        # full saturation and the largest finite doubles
+        rng = np.random.default_rng(0)
+        z = np.concatenate(
+            [rng.normal(0.0, s, 275_000) for s in (1.0, 30.0, 300.0, 3e3)]
+            + [[745.0, -745.0, 800.0, -800.0, 1e308, -1e308, 0.0, -0.0,
+                np.inf, -np.inf]]
+        )
+        assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+    def test_saturates_without_overflow(self):
+        # the test configuration turns an overflow warning into an error
+        z = np.array([-1e308, -800.0, 0.0, 800.0, 1e308])
+        assert sigmoid(z).tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
 
 
 class TestInitEmbeddings:

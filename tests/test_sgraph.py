@@ -1,5 +1,7 @@
 """Tests for the signed-graph data model and ingestion."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,17 @@ class TestLoadEdgeList:
         assert g.node_count == 3
         assert g.positive_edge_count == 2
         assert g.negative_edge_count == 1
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected_before_reading(
+        self, tmp_path, threshold
+    ):
+        # the file is never opened: it does not exist
+        spec = EdgeListSpec(path=tmp_path / "missing.csv", rating_threshold=threshold)
+        with pytest.raises(
+            EdgeListError, match=f"rating threshold {threshold} is not finite"
+        ):
+            load_edge_list(spec)
 
     def test_first_appearance_remap(self, tmp_path):
         p = tmp_path / "g.edges"

@@ -134,11 +134,46 @@ class TestTrainConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0).validate()
+            TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(batch_size=0).validate()
+            TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
-            TrainConfig(reward_clamp=(0.0, -1.0)).validate()
+            TrainConfig(reward_clamp=(0.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("learning_rate", "nan", "learning_rate must be positive and finite"),
+            ("learning_rate", "inf", "learning_rate must be positive and finite"),
+            ("reward_clamp", "nan,0", "reward_clamp bounds must not be NaN"),
+            ("reward_clamp", "-20,nan", "reward_clamp bounds must not be NaN"),
+            ("reward_clamp", "-inf,-inf", "reward_clamp admits no finite reward"),
+            ("reward_clamp", "inf,inf", "reward_clamp admits no finite reward"),
+            ("seed", "-1", "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_non_finite_or_negative_value_names_its_key_and_line(
+        self, tmp_path, key, value, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig().merged({key: value})
+        path = tmp_path / "train.cfg"
+        path.write_text(f"seed=1\n{key}={value}\n")
+        with pytest.raises(ValueError, match=rf"train\.cfg:2: {message}"):
+            TrainConfig.from_file(path)
+
+    def test_infinite_reward_clamp_bound_means_no_clamp(self, tmp_path):
+        cfg = TrainConfig().merged({"reward_clamp": "-inf,0"})
+        assert cfg.reward_clamp == (-math.inf, 0.0)
+        path = tmp_path / "train.cfg"
+        path.write_text("reward_clamp=-inf,inf\n")
+        assert TrainConfig.from_file(path).reward_clamp == (-math.inf, math.inf)
+
+    def test_every_constructor_checks(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            dataclasses.replace(TrainConfig(), seed=-3)
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            TrainConfig.from_dict({"learning_rate": float("nan")})
 
 
 class TestTrain:
