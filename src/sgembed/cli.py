@@ -178,8 +178,9 @@ def _cmd_sweep(args) -> int:
     )
     for cell in report.cells:
         print(
-            f"fraction={cell.fraction}: paper_micro_f1="
-            f"{cell.mean_paper_micro_f1:.4f} +/- {cell.std_paper_micro_f1:.4f}"
+            f"fraction={cell['fraction']}: paper_micro_f1="
+            f"{cell['mean_paper_micro_f1']:.4f} +/- "
+            f"{cell['std_paper_micro_f1']:.4f}"
         )
     return 0
 
@@ -187,9 +188,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_audit(args) -> int:
     g, _, checksum = _load_graph(args)
     emb = EmbeddingMatrix.load(args.emb)
-    config = {"fraction": args.fraction, "seed": args.seed or 0}
+    config = {"fraction": args.fraction, "seed": args.seed}
     audit = evalkit.balance_audit(
-        emb, g, sample_fraction=args.fraction, seed=config["seed"]
+        emb, g, sample_fraction=args.fraction, seed=args.seed
     )
     inputs = {str(args.graph): checksum, str(args.emb): _file_checksum(args.emb)}
     _write_report(Path(args.output_dir), "audit", audit, _meta(config, inputs))
@@ -200,7 +201,7 @@ def _cmd_audit(args) -> int:
 def _cmd_synth(args) -> int:
     g = sgraph.synth_balanced(
         args.communities, args.size, args.p_intra, args.p_inter,
-        args.noise, args.seed or 0,
+        args.noise, args.seed,
     )
     config = {
         "communities": args.communities,
@@ -208,7 +209,7 @@ def _cmd_synth(args) -> int:
         "p_intra": args.p_intra,
         "p_inter": args.p_inter,
         "noise": args.noise,
-        "seed": args.seed or 0,
+        "seed": args.seed,
     }
     sgraph.save_edge_list(
         g,
@@ -243,7 +244,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_check_theorems(args) -> int:
-    seed_root = np.random.SeedSequence(args.seed or 0)
+    seed_root = np.random.SeedSequence(args.seed)
     if args.graph:
         graphs = [_load_graph(args)[0]]
     else:
@@ -301,6 +302,16 @@ def _count(low: int):
         return int(text)
 
     return count
+
+
+def _tolerance(text: str) -> float:
+    """An argparse type for a finite float of at least 0; argparse names
+    the flag in its error."""
+    if not 0.0 <= float(text) < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least 0, got {text}"
+        )
+    return float(text)
 
 
 def _floats(text: str) -> list[float]:
@@ -395,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--emb", required=True)
     p.add_argument("--fraction", type=float, default=0.4)
-    p.add_argument("--seed", type=_count(0), default=None)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=_cmd_audit)
 
@@ -409,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=_count(1), default=100)
     p.add_argument("--extra-edges", type=_count(0), default=150)
     p.add_argument("--dim", type=_count(1), default=8)
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--seed", type=_count(0), default=None)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-9)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=_cmd_check_theorems)
 
     p = sub.add_parser("synth", help="write a planted-partition signed graph")
@@ -419,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-intra", type=float, default=0.3)
     p.add_argument("--p-inter", type=float, default=0.2)
     p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=_count(0), default=None)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_synth)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -287,9 +286,6 @@ class MetricsReport:
             "mean_standard_micro_f1": self.mean_standard_micro_f1,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def csv_rows(self) -> list[str]:
         rows = [",".join(("fold",) + FOLD_COLUMNS)]
         for i, f in enumerate(self.folds):
@@ -325,7 +321,11 @@ def stratified_edge_folds(
 TABLES = ("generator", "discriminator")
 
 
-def _check_counts(k_folds: int, threads: int) -> None:
+def _check_counts(
+    k_folds: int, threads: int, feature_mode: EdgeFeatureMode
+) -> None:
+    if not isinstance(feature_mode, EdgeFeatureMode):
+        raise ValueError(f"feature_mode {feature_mode!r} is not an EdgeFeatureMode")
     if k_folds < 2:
         raise ValueError(f"k_folds {k_folds} must be at least 2")
     if threads < 1:
@@ -402,7 +402,7 @@ def kfold_link_prediction(
     ``threads`` > 1 runs them in parallel with results identical to the
     sequential order.
     """
-    _check_counts(k_folds, threads)
+    _check_counts(k_folds, threads, feature_mode)
     if leakage_mode not in ("strict", "fast"):
         raise ValueError("leakage_mode must be 'strict' or 'fast'")
     if use_embeddings not in TABLES:
@@ -512,39 +512,40 @@ def balance_audit(
 
 
 @dataclass
-class SparsityCell:
-    fraction: float
-    repeats: int
-    mean_paper_micro_f1: float
-    std_paper_micro_f1: float
-    mean_standard_micro_f1: float
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass
 class SweepReport:
-    cells: list[SparsityCell]
+    """Each fraction's repeat reports; the per-fraction cells are computed
+    from them."""
+
+    fractions: list[float]
     reports: list[list[MetricsReport]]
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "cells": [c.to_dict() for c in self.cells],
-        }
+    @property
+    def cells(self) -> list[dict]:
+        cells = []
+        for fraction, reps in zip(self.fractions, self.reports):
+            scores = [r.mean_paper_micro_f1 for r in reps]
+            cells.append({
+                "fraction": fraction,
+                "repeats": len(reps),
+                "mean_paper_micro_f1": float(np.mean(scores)),
+                "std_paper_micro_f1": float(np.std(scores)),
+                "mean_standard_micro_f1": float(
+                    np.mean([r.mean_standard_micro_f1 for r in reps])
+                ),
+            })
+        return cells
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+    def to_dict(self) -> dict:
+        return {"schema_version": SCHEMA_VERSION, "cells": self.cells}
 
     def csv_rows(self) -> list[str]:
         rows = [
             "fraction,repeat,paper_micro_f1,standard_micro_f1",
         ]
-        for cell, reps in zip(self.cells, self.reports):
+        for fraction, reps in zip(self.fractions, self.reports):
             for r, rep in enumerate(reps):
                 rows.append(
-                    f"{cell.fraction},{r},{rep.mean_paper_micro_f1:.6f},"
+                    f"{fraction},{r},{rep.mean_paper_micro_f1:.6f},"
                     f"{rep.mean_standard_micro_f1:.6f}"
                 )
         return rows
@@ -584,7 +585,7 @@ def sparsity_sweep(
         train_cfg = TrainConfig()
     if repeats < 1:
         raise ValueError(f"repeats {repeats} must be at least 1")
-    _check_counts(k_folds, threads)
+    _check_counts(k_folds, threads, feature_mode)
     fractions = list(fractions)
     for fraction in fractions:
         if not 0.0 <= fraction < 1.0:
@@ -604,21 +605,6 @@ def sparsity_sweep(
                 (g, fraction, graph_seed, cfg, k_folds, feature_mode, leakage_mode)
             )
     flat = _map_jobs(_sweep_job, jobs, threads)
-
-    cells, reports = [], []
-    for i, fraction in enumerate(fractions):
-        reps = flat[i * repeats : (i + 1) * repeats]
-        scores = [r.mean_paper_micro_f1 for r in reps]
-        cells.append(
-            SparsityCell(
-                fraction=fraction,
-                repeats=repeats,
-                mean_paper_micro_f1=float(np.mean(scores)),
-                std_paper_micro_f1=float(np.std(scores)),
-                mean_standard_micro_f1=float(
-                    np.mean([r.mean_standard_micro_f1 for r in reps])
-                ),
-            )
-        )
-        reports.append(reps)
-    return SweepReport(cells=cells, reports=reports)
+    return SweepReport(
+        fractions, [flat[i : i + repeats] for i in range(0, len(flat), repeats)]
+    )

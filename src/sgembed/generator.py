@@ -67,14 +67,15 @@ class EmbeddingMatrix:
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingMatrix":
         """Read the ``save`` format. Raises ValueError, with the path and
-        line number, on a malformed line, a non-UTF-8 byte or a non-finite
-        coordinate."""
+        line number, on a malformed line, a header of zero columns, a
+        non-UTF-8 byte or a non-finite coordinate."""
         lines = list(text_lines(path))
         if not lines:
             raise ValueError(f"{path}: empty embedding file")
         lineno, header = lines[0]
         fields = header.split()
-        if len(fields) != 2 or not all(f.isdecimal() for f in fields):
+        well_formed = len(fields) == 2 and all(f.isdecimal() for f in fields)
+        if not well_formed or int(fields[1]) == 0:
             raise ValueError(
                 f"{path}:{lineno}: bad header {header!r}, expected 'rows dim'"
             )
@@ -107,8 +108,6 @@ class EmbeddingMatrix:
             if not np.isfinite(values[i]).all():
                 raise ValueError(f"{path}:{lineno}: non-finite coordinate")
             seen[i] = True
-        if not seen.all():
-            raise ValueError(f"{path}: missing node rows")
         return cls(values=values)
 
 

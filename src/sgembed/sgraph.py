@@ -226,10 +226,12 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
     Duplicate unordered pairs are resolved by sign majority; exact ties are
     dropped. Self-loops are dropped. Raises EdgeListError on unreadable
     files, malformed lines, non-UTF-8 bytes or non-finite values (with the
-    line number), a non-finite ``rating_threshold``, or when no node
-    survives.
+    line number), an empty ``delimiter``, a non-finite
+    ``rating_threshold``, or when no node survives.
     """
     path = Path(spec.path)
+    if spec.delimiter == "":
+        raise EdgeListError("delimiter must not be empty")
     threshold = spec.rating_threshold
     if threshold is not None and not math.isfinite(threshold):
         raise EdgeListError(f"rating threshold {threshold} is not finite")

@@ -98,7 +98,8 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        d["reward_clamp"] = tuple(d.get("reward_clamp", (-20.0, 0.0)))
+        if "reward_clamp" in d:
+            d["reward_clamp"] = tuple(d["reward_clamp"])
         return cls(**d)
 
     @classmethod
@@ -151,9 +152,6 @@ class EpochStats:
     fake_samples: int
     true_positive: int
     true_negative: int
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass

@@ -39,6 +39,7 @@ from sgembed import (
     train,
     tree_distribution,
 )
+from sgembed.cli import _write_report
 from sgembed.discriminator import batch_gradient, edge_batch
 from sgembed.generator import walk_logprob_gradient
 from oracles import (
@@ -428,12 +429,13 @@ def test_criterion_9_determinism(tmp_path):
         metrics = kfold_link_prediction(
             g, 3, EdgeFeatureMode.HADAMARD, cfg, "fast"
         )
+        _write_report(tmp_path / run, "metrics", metrics, meta={})
         artifacts.append(
             (
                 theta_j.values.tobytes(),
                 theta_d.values.tobytes(),
                 emb_file.read_bytes(),
-                metrics.to_json(),
+                (tmp_path / run / "metrics.json").read_bytes(),
                 ck.read_bytes(),
             )
         )

@@ -233,6 +233,24 @@ def test_check_theorems_count_flags_name_themselves(capsys, flag, value, low):
     assert f"argument {flag}: must be at least {low}, got {value}" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+def test_check_theorems_tolerance_names_the_flag(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-theorems", f"--tolerance={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (
+        f"argument --tolerance: must be finite and at least 0, got {value}"
+        in err
+    )
+
+
+def test_check_theorems_accepts_zero_tolerance(capsys):
+    main(["check-theorems", "--graphs", "1", "--nodes", "10",
+          "--extra-edges", "5", "--tolerance", "0"])
+    assert "normalization" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "command", ["train", "predict", "sweep", "audit", "check-theorems", "synth"]
 )
@@ -255,6 +273,33 @@ def test_convert_rejects_non_finite_threshold(tmp_path, caplog):
     ])
     assert rc == 1
     assert "rating threshold nan is not finite" in caplog.text
+    assert not out.exists()
+
+
+def test_convert_rejects_empty_delimiter(tmp_path, caplog):
+    src = tmp_path / "ratings.csv"
+    src.write_text("1,2,5\n2,3,-3\n1,3,1\n")
+    out = tmp_path / "signed.edges"
+    rc = main([
+        "convert", "--input", str(src), "--delimiter", "",
+        "--output", str(out),
+    ])
+    assert rc == 1
+    assert "EdgeListError" in caplog.text
+    assert "delimiter must not be empty" in caplog.text
+    assert not out.exists()
+
+
+def test_audit_rejects_zero_column_table(tmp_path, graph_file, caplog):
+    emb = tmp_path / "flat.emb"
+    emb.write_text("16 0\n" + "".join(f"{i}\n" for i in range(16)))
+    out = tmp_path / "audit"
+    rc = main([
+        "audit", "--graph", str(graph_file), "--emb", str(emb),
+        "--output-dir", str(out),
+    ])
+    assert rc == 1
+    assert "flat.emb:1: bad header" in caplog.text
     assert not out.exists()
 
 

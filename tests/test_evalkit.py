@@ -602,6 +602,20 @@ class TestKfoldLinkPrediction:
                 g, 3, train_cfg=FAST_CFG, use_embeddings="theta_g", **kwargs
             )
 
+    @pytest.mark.parametrize("leakage", ["strict", "fast", "precomputed"])
+    def test_bad_feature_mode_rejected_before_training(
+        self, monkeypatch, leakage
+    ):
+        monkeypatch.setattr(evalkit, "train", no_training)
+        g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=3)
+        kwargs = {"leakage_mode": leakage}
+        if leakage == "precomputed":
+            kwargs = {"embeddings": embedding_from(np.ones((12, 2)))}
+        with pytest.raises(ValueError, match="^feature_mode 'hadamard' "):
+            kfold_link_prediction(
+                g, 3, "hadamard", train_cfg=FAST_CFG, **kwargs
+            )
+
     @pytest.mark.parametrize("use, index", [("generator", 0), ("discriminator", 1)])
     def test_use_embeddings_selects_its_trained_table(
         self, monkeypatch, use, index
@@ -643,7 +657,7 @@ class TestKfoldLinkPrediction:
         )
         seq = kfold_link_prediction(g, threads=1, **kwargs)
         par = kfold_link_prediction(g, threads=2, **kwargs)
-        assert seq.to_json() == par.to_json()
+        assert seq.to_dict() == par.to_dict()
 
     @pytest.mark.parametrize("rows", [2, 40])
     def test_table_must_have_one_row_per_node(self, monkeypatch, rows):
@@ -697,7 +711,7 @@ class TestKfoldLinkPrediction:
         report = kfold_link_prediction(
             g, 3, EdgeFeatureMode.AVERAGE, FAST_CFG, "fast"
         )
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload["schema_version"] == 2
         assert payload["feature_mode"] == "avg"
         assert len(payload["folds"]) == 3
@@ -709,7 +723,7 @@ class TestKfoldLinkPrediction:
         g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=4)
         a = kfold_link_prediction(g, 3, EdgeFeatureMode.HADAMARD, FAST_CFG, "fast")
         b = kfold_link_prediction(g, 3, EdgeFeatureMode.HADAMARD, FAST_CFG, "fast")
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
 
 class TestBalanceAudit:
@@ -809,6 +823,15 @@ class TestSparsitySweep:
                 train_cfg=FAST_CFG, leakage_mode="fast",
             )
 
+    def test_bad_feature_mode_rejected_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(evalkit, "train", no_training)
+        g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=3)
+        with pytest.raises(ValueError, match="^feature_mode 'l1' "):
+            sparsity_sweep(
+                g, fractions=(0.2,), repeats=1, k_folds=3, feature_mode="l1",
+                train_cfg=FAST_CFG, leakage_mode="fast",
+            )
+
     @pytest.mark.parametrize("repeats", [0, -1])
     def test_repeats_below_one_rejected_before_any_cell(
         self, monkeypatch, repeats
@@ -848,8 +871,15 @@ class TestSparsitySweep:
             train_cfg=replace(FAST_CFG, seed=7),
             leakage_mode="fast",
         )
-        assert [c.fraction for c in report.cells] == [0.2, 0.4]
-        assert all(c.repeats == 2 for c in report.cells)
+        assert [c["fraction"] for c in report.cells] == [0.2, 0.4]
+        assert all(c["repeats"] == 2 for c in report.cells)
+        for cell, reps in zip(report.cells, report.reports):
+            scores = [r.mean_paper_micro_f1 for r in reps]
+            assert cell["mean_paper_micro_f1"] == np.mean(scores)
+            assert cell["std_paper_micro_f1"] == np.std(scores)
+            assert cell["mean_standard_micro_f1"] == np.mean(
+                [r.mean_standard_micro_f1 for r in reps]
+            )
         rows = report.csv_rows()
         assert rows[0] == "fraction,repeat,paper_micro_f1,standard_micro_f1"
         assert len(rows) == 1 + 4
@@ -862,7 +892,7 @@ class TestSparsitySweep:
         )
         a = sparsity_sweep(g, **kwargs)
         b = sparsity_sweep(g, **kwargs)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_parallel_cells_match_sequential(self):
         g = synth_balanced(2, 6, 1.0, 0.9, 0.0, seed=6)
@@ -872,7 +902,7 @@ class TestSparsitySweep:
         )
         seq = sparsity_sweep(g, threads=1, **kwargs)
         par = sparsity_sweep(g, threads=2, **kwargs)
-        assert seq.to_json() == par.to_json()
+        assert seq.to_dict() == par.to_dict()
 
     def test_robustness_envelope_on_balanced_graph(self):
         # heavier removal must not beat light removal by more than 0.05
@@ -895,6 +925,6 @@ class TestSparsitySweep:
             train_cfg=cfg,
             leakage_mode="fast",
         )
-        light, heavy = report.cells
-        assert light.mean_paper_micro_f1 > 0.9  # pipeline actually learns
-        assert heavy.mean_paper_micro_f1 <= light.mean_paper_micro_f1 + 0.05
+        light_f1, heavy_f1 = (c["mean_paper_micro_f1"] for c in report.cells)
+        assert light_f1 > 0.9  # pipeline actually learns
+        assert heavy_f1 <= light_f1 + 0.05

@@ -117,7 +117,9 @@ class TestEmbeddingIO:
         with pytest.raises(ValueError):
             EmbeddingMatrix.load(path)
 
-    @pytest.mark.parametrize("header", ["3", "3 two", "2 2 1", "-1 2"])
+    @pytest.mark.parametrize(
+        "header", ["3", "3 two", "2 2 1", "-1 2", "2 0", "0 0"]
+    )
     def test_load_names_a_bad_header_line(self, tmp_path, header):
         path = tmp_path / "bad.emb"
         path.write_text(f"# comment\n{header}\n0 0.5 0.5\n1 0.25 0.75\n")

@@ -225,6 +225,11 @@ class TestLoadEdgeList:
         ):
             load_edge_list(spec)
 
+    def test_empty_delimiter_rejected_before_reading(self, tmp_path):
+        spec = EdgeListSpec(path=tmp_path / "missing.csv", delimiter="")
+        with pytest.raises(EdgeListError, match="delimiter must not be empty"):
+            load_edge_list(spec)
+
     def test_first_appearance_remap(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("7 3 1\n3 9 -1\n")

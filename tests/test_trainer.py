@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import json
 import math
 import sys
 from pathlib import Path
@@ -70,6 +71,13 @@ class TestTrainConfig:
         path = tmp_path / "train.cfg"
         oracles.config_to_file(cfg, path)
         assert TrainConfig.from_file(path) == cfg
+
+    def test_dict_round_trip(self):
+        cfg = TrainConfig(seed=9, reward_clamp=(-5.0, 0.0))
+        # a JSON checkpoint header holds the clamp as a list
+        as_json = json.loads(json.dumps(cfg.to_dict()))
+        assert TrainConfig.from_dict(as_json) == cfg
+        assert TrainConfig.from_dict({"seed": 9}) == TrainConfig(seed=9)
 
     def test_overrides_beat_file_values(self, tmp_path):
         path = tmp_path / "train.cfg"
@@ -440,7 +448,7 @@ def assert_same_run(a, b):
     assert a[2].theta_d_checksum == b[2].theta_d_checksum
     assert len(a[2].epochs) == len(b[2].epochs)
     for x, y in zip(a[2].epochs, b[2].epochs):
-        x, y = x.to_dict(), y.to_dict()
+        x, y = dataclasses.asdict(x), dataclasses.asdict(y)
         del x["wall_time"], y["wall_time"]
         for key in ("d_grad_norm", "g_grad_norm"):
             assert x.pop(key) == pytest.approx(y.pop(key), rel=1e-12)
