@@ -297,9 +297,15 @@ def _count(low: int):
     the flag in its error."""
 
     def count(text: str) -> int:
-        if int(text) < low:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer, got {text!r}"
+            ) from None
+        if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
+        return value
 
     return count
 
@@ -307,11 +313,17 @@ def _count(low: int):
 def _tolerance(text: str) -> float:
     """An argparse type for a finite float of at least 0; argparse names
     the flag in its error."""
-    if not 0.0 <= float(text) < np.inf:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a number, got {text!r}"
+        ) from None
+    if not 0.0 <= value < np.inf:
         raise argparse.ArgumentTypeError(
             f"must be finite and at least 0, got {text}"
         )
-    return float(text)
+    return value
 
 
 def _floats(text: str) -> list[float]:
@@ -354,7 +366,7 @@ def _add_eval_args(p: argparse.ArgumentParser) -> None:
         default="hadamard",
     )
     p.add_argument("--leakage", choices=("strict", "fast"), default="strict")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_count(2), default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_eval_args(p)
     p.add_argument(
-        "--threads", type=int, default=1,
+        "--threads", type=_count(1), default=1,
         help="worker processes for strict-leakage folds (1: none)",
     )
     p.add_argument("--output-dir", required=True)
@@ -393,10 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     _add_train_args(p)
     p.add_argument("--fractions", type=_floats, default="0.2,0.4,0.6,0.8")
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_count(1), default=5)
     _add_eval_args(p)
     p.add_argument(
-        "--threads", type=int, default=1,
+        "--threads", type=_count(1), default=1,
         help="worker processes for sweep cells (1: none)",
     )
     p.add_argument("--output-dir", required=True)
@@ -425,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_theorems)
 
     p = sub.add_parser("synth", help="write a planted-partition signed graph")
-    p.add_argument("--communities", type=int, default=2)
-    p.add_argument("--size", type=int, default=50)
+    p.add_argument("--communities", type=_count(1), default=2)
+    p.add_argument("--size", type=_count(1), default=50)
     p.add_argument("--p-intra", type=float, default=0.3)
     p.add_argument("--p-inter", type=float, default=0.2)
     p.add_argument("--noise", type=float, default=0.05)

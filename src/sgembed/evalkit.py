@@ -91,94 +91,66 @@ class LogisticModel:
 RIDGE = 1e-3
 # A model has converged when no coordinate of its Newton step exceeds this.
 STEP_TOLERANCE = 1e-10
-# Newton iterations within which every model must converge.
+# Newton iterations within which a fit must converge.
 MAX_ITERATIONS = 100
-
-
-class FitError(ValueError):
-    """A ``logreg_train`` fit that failed on one column of its mask."""
-
-    def __init__(self, column: int, reason: str):
-        super().__init__(f"column {column}: {reason}")
-        self.column, self.reason = column, reason
-
-    def __reduce__(self):
-        # rebuilt from both fields, so it crosses a process pool intact
-        return FitError, (self.column, self.reason)
 
 
 def logreg_train(
     features: np.ndarray,
     labels: np.ndarray,
     mask: np.ndarray | None = None,
-) -> list[LogisticModel]:
+) -> LogisticModel:
     """Newton's method (iteratively reweighted least squares) on mean
-    log-loss plus a RIDGE penalty, from zero init, one model per column of
-    ``mask``.
+    log-loss plus a RIDGE penalty, from zero init, on the rows that the
+    0/1 ``mask`` marks.
 
-    ``features`` is ``(m, d)`` and ``labels`` are m 0/1 values with 1 the
-    positive sign. Column j of the 0/1 ``mask`` ``(m, k)`` selects the
-    rows model j trains on; without a mask one model trains on every row.
-    Each iteration is one forward and one backward matmul for all k
-    models, then per unconverged model a (d+1)x(d+1) Hessian summed over
-    chunks of rows and one linear solve. A model stops once its largest
-    step is below STEP_TOLERANCE.
-    Deterministic (nothing is sampled). Raises FitError, a ValueError
-    naming the column, when a column's rows hold only one class or its
-    model has not converged within MAX_ITERATIONS iterations.
+    ``features`` is ``(m, d)``, ``labels`` are m 0/1 values with 1 the
+    positive sign, and ``mask`` is ``(m,)``; without a mask every row
+    trains. Each iteration is one pass over chunks of rows that copies a
+    chunk into a buffer of ``[x, 1]`` and adds its terms to the gradient
+    and to the (d+1)x(d+1) Hessian, then one linear solve. The fit stops
+    once its largest step is below STEP_TOLERANCE.
+    Deterministic (nothing is sampled). Raises ValueError when the marked
+    rows hold only one class or the fit has not converged within
+    MAX_ITERATIONS iterations.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or len(x) != len(labels):
         raise ValueError(f"{len(labels)} labels for features of shape {x.shape}")
     m, dim = x.shape
-    keep = np.ones((m, 1)) if mask is None else np.asarray(mask, dtype=float)
-    k = keep.shape[1]
-    target = np.asarray(labels, dtype=float)[:, None]
-    count = keep.sum(axis=0)
-    positives = target[:, 0] @ keep
-    single = np.flatnonzero((positives == 0) | (positives == count))
-    if len(single):
-        raise FitError(
-            int(single[0]), "training data must contain both classes"
+    keep = np.ones(m) if mask is None else np.asarray(mask, dtype=float)
+    if keep.shape != (m,):
+        raise ValueError(
+            f"mask of shape {keep.shape} for features of shape {x.shape}"
         )
+    target = np.asarray(labels, dtype=float)
+    count = keep.sum()
+    if target @ keep in (0.0, count):
+        raise ValueError("training data must contain both classes")
+    # each marked row's share of the mean
+    weight = keep / count
     chunks = _chunks(m, dim)
-    # column j holds model j's weights, then its bias
-    theta = np.zeros((dim + 1, k))
-    # one chunk's rows of [x, 1], each scaled by sqrt(p (1 - p)) of a model
-    scaled = np.empty((chunks[0].stop, dim + 1))
-    hess = np.empty((dim + 1, dim + 1))
-    active = list(range(k))
+    # the weights, then the bias
+    theta = np.zeros(dim + 1)
+    buffer = np.empty((chunks[0].stop, dim + 1))
     for _ in range(MAX_ITERATIONS):
-        p = sigmoid(x @ theta[:dim] + theta[dim])
-        # both zero off each model's rows
-        root = np.sqrt(p * (1.0 - p)) * keep
-        err = (p - target) * keep
-        grad = np.vstack([x.T @ err, err.sum(axis=0)]) / count + RIDGE * theta
-        for j in list(active):
+        grad, hess = RIDGE * theta, np.zeros((dim + 1, dim + 1))
+        for rows in chunks:
+            part = buffer[: len(target[rows])]
+            part[:, :dim] = x[rows]
+            part[:, dim] = 1.0
+            p = sigmoid(part @ theta)
+            grad += part.T @ ((p - target[rows]) * weight[rows])
             # the Hessian of the mean log-loss is [x, 1]^T diag(p (1 - p))
-            # [x, 1] over the model's rows / count, summed chunk by chunk
-            hess.fill(0.0)
-            for rows in chunks:
-                part = scaled[: len(root[rows])]
-                np.multiply(x[rows], root[rows, j, None], out=part[:, :dim])
-                part[:, dim] = root[rows, j]
-                hess += part.T @ part
-            hess /= count[j]
-            hess.flat[:: dim + 2] += RIDGE
-            step = np.linalg.solve(hess, grad[:, j])
-            theta[:, j] -= step
-            if np.abs(step).max() < STEP_TOLERANCE:
-                active.remove(j)
-        if not active:
-            break
-    else:
-        raise FitError(
-            active[0], f"no convergence in {MAX_ITERATIONS} Newton iterations"
-        )
-    return [
-        LogisticModel(weights=theta[:dim, j].copy(), bias=float(theta[dim, j]))
-        for j in range(k)
-    ]
+            # [x, 1] over the marked rows / count
+            part *= np.sqrt(p * (1.0 - p) * weight[rows])[:, None]
+            hess += part.T @ part
+        hess.flat[:: dim + 2] += RIDGE
+        step = np.linalg.solve(hess, grad)
+        theta -= step
+        if np.abs(step).max() < STEP_TOLERANCE:
+            return LogisticModel(weights=theta[:dim], bias=float(theta[dim]))
+    raise ValueError(f"no convergence in {MAX_ITERATIONS} Newton iterations")
 
 
 def logreg_predict_proba(model: LogisticModel, features: np.ndarray) -> np.ndarray:
@@ -349,21 +321,18 @@ def _map_jobs(fn, jobs: list, threads: int) -> list:
 
 
 def _evaluate_folds(table, g, fold_of, fold_ids, feature_mode):
-    """Train one classifier per fold in ``fold_ids`` on the edges outside
-    that fold, all in one fit over every edge's features from the given
-    embedding table, and score each on its own fold's edges. A failed fit
-    names its fold, not its column of the fit's mask."""
+    """Build every edge's features from the given embedding table once,
+    then per fold in ``fold_ids`` train one classifier on the edges
+    outside that fold and score it on the fold's own edges. A failed fit
+    names its fold."""
     features = edge_feature_matrix(table, g.edge_u, g.edge_v, feature_mode)
     labels = g.edge_sign > 0
-    train_mask = fold_of[:, None] != np.asarray(fold_ids)[None, :]
-    try:
-        models = logreg_train(features, labels, train_mask)
-    except FitError as exc:
-        raise ValueError(
-            f"fold {fold_ids[exc.column]}: {exc.reason}"
-        ) from None
     results = []
-    for f, model in zip(fold_ids, models):
+    for f in fold_ids:
+        try:
+            model = logreg_train(features, labels, fold_of != f)
+        except ValueError as exc:
+            raise ValueError(f"fold {f}: {exc}") from None
         test = np.flatnonzero(fold_of == f)
         y_pred = logreg_predict_proba(model, features[test]) >= 0.5
         results.append(fold_metrics(labels[test], y_pred))
@@ -394,8 +363,8 @@ def kfold_link_prediction(
     the held-out edges; "fast" trains once on the full graph. A
     pre-trained ``embeddings`` table skips training entirely; leakage is
     then whatever produced the table, and the report's leakage_mode reads
-    "precomputed". A table shared by all folds fits their k classifiers
-    in one ``logreg_train`` call. An empty fold, or one whose training
+    "precomputed". A table shared by all folds builds its edge features
+    once for all k classifiers. An empty fold, or one whose training
     split holds a single sign, raises ValueError before any training.
     Fold shuffling and per-fold training seeds all derive from
     train_cfg.seed. Strict-mode folds are independent pipelines, so
@@ -552,15 +521,19 @@ class SweepReport:
 
 
 def _sweep_job(args) -> MetricsReport:
-    g, fraction, graph_seed, cfg, k_folds, feature_mode, leakage_mode = args
-    sparse = inject_sparsity(g, fraction, graph_seed)
-    return kfold_link_prediction(
-        sparse,
-        k_folds=k_folds,
-        feature_mode=feature_mode,
-        train_cfg=cfg,
-        leakage_mode=leakage_mode,
-    )
+    """One sweep cell's train + predict pipeline; a ValueError names its
+    cell."""
+    g, fraction, r, graph_seed, cfg, k_folds, feature_mode, leakage_mode = args
+    try:
+        return kfold_link_prediction(
+            inject_sparsity(g, fraction, graph_seed),
+            k_folds=k_folds,
+            feature_mode=feature_mode,
+            train_cfg=cfg,
+            leakage_mode=leakage_mode,
+        )
+    except ValueError as exc:
+        raise ValueError(f"fraction {fraction} repeat {r}: {exc}") from None
 
 
 def sparsity_sweep(
@@ -579,7 +552,8 @@ def sparsity_sweep(
     both spawned from ``train_cfg.seed``, and runs the full train +
     predict pipeline; results aggregate to mean and standard deviation
     per fraction. Cells are independent, so ``threads`` > 1 parallelizes
-    them without changing the results.
+    them without changing the results. A cell's ValueError names its
+    fraction and repeat.
     """
     if train_cfg is None:
         train_cfg = TrainConfig()
@@ -601,9 +575,10 @@ def sparsity_sweep(
                 int(x) for x in child.generate_state(2)
             )
             cfg = replace(train_cfg, seed=train_seed)
-            jobs.append(
-                (g, fraction, graph_seed, cfg, k_folds, feature_mode, leakage_mode)
-            )
+            jobs.append((
+                g, fraction, r, graph_seed, cfg, k_folds, feature_mode,
+                leakage_mode,
+            ))
     flat = _map_jobs(_sweep_job, jobs, threads)
     return SweepReport(
         fractions, [flat[i : i + repeats] for i in range(0, len(flat), repeats)]

@@ -382,7 +382,7 @@ def test_criterion_8_evaluation_stack_oracles():
     # logistic regression reaches accuracy 1.0 on a separable fixture
     x = np.concatenate([rng.normal(-2, 0.3, (30, 1)), rng.normal(2, 0.3, (30, 1))])
     y = np.array([0] * 30 + [1] * 30)
-    [model] = logreg_train(x, y)
+    model = logreg_train(x, y)
     acc = float(
         np.mean((logreg_predict_proba(model, x) >= 0.5).astype(int) == y)
     )

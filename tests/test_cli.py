@@ -245,6 +245,40 @@ def test_check_theorems_tolerance_names_the_flag(capsys, value):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, flag, message",
+    [(["check-theorems", "--graphs", "abc"], "--graphs",
+      "must be an integer, got 'abc'"),
+     (["check-theorems", "--tolerance", "abc"], "--tolerance",
+      "must be a number, got 'abc'")],
+)
+def test_non_number_names_the_kind_of_value(capsys, argv, flag, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, low",
+    [(["predict", "--folds"], "--folds", "1", 2),
+     (["predict", "--threads"], "--threads", "0", 1),
+     (["sweep", "--folds"], "--folds", "-1", 2),
+     (["sweep", "--threads"], "--threads", "0", 1),
+     (["sweep", "--repeats"], "--repeats", "0", 1),
+     (["synth", "--communities"], "--communities", "0", 1),
+     (["synth", "--size"], "--size", "-2", 1)],
+)
+def test_count_flags_name_themselves(capsys, argv, flag, value, low):
+    # argparse rejects the value as it parses it, before it asks for the
+    # command's required flags
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least {low}, got {value}" in err
+
+
 def test_check_theorems_accepts_zero_tolerance(capsys):
     main(["check-theorems", "--graphs", "1", "--nodes", "10",
           "--extra-edges", "5", "--tolerance", "0"])
