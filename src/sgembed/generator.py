@@ -120,18 +120,23 @@ def init_embeddings(node_count: int, dim: int, seed) -> EmbeddingMatrix:
 
 
 def generate_fakes(
-    emb: EmbeddingMatrix, tree: BfsTree, count: int, rng: np.random.Generator
+    emb: EmbeddingMatrix,
+    tree: BfsTree,
+    count: int,
+    rng: np.random.Generator,
+    edge_dots: np.ndarray | None = None,
 ) -> WalkBatch:
     """Draw ``count`` fake signed neighbors of the tree's root as one batch.
 
-    Builds the relevance table once and samples every walk from it. Raises
+    Builds the relevance table once, from ``edge_dots`` when given (see
+    ``relevance_table``), and samples every walk from it. Raises
     ValueError when the tree covers only its root (an isolated center).
     """
     if count <= 0:
         raise ValueError("count must be positive")
     if tree.covered_count < 2:
         raise ValueError(f"center {tree.root} is isolated")
-    return sample_walk(relevance_table(emb, tree), tree, rng, count)
+    return sample_walk(relevance_table(emb, tree, edge_dots), tree, rng, count)
 
 
 def sigmoid(z) -> np.ndarray:

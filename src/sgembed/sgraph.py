@@ -3,10 +3,10 @@
 Graphs are undirected, unweighted apart from the edge sign, with dense
 integer node ids. A graph is arrays only: its edges in input order
 (``edge_u < edge_v`` and an int8 ``edge_sign`` of +1/-1) and a CSR of
-each node's neighbors in ascending id with their signs. ``Sign`` and the
-``edges`` tuples are views for callers at the API edge; the package itself
-reads the arrays. All values are immutable after construction and safe to
-share across threads for reading.
+each node's neighbors in ascending id with their signs and edge ids.
+``Sign`` and the ``edges`` tuples are views for callers at the API edge;
+the package itself reads the arrays. All values are immutable after
+construction and safe to share across threads for reading.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ logger = logging.getLogger(__name__)
 # or trailing nodes survive a save/load round trip.
 _NODE_COUNT_DIRECTIVE = "#%nodes"
 
+# node ids, edge ids and BFS tree positions are stored as int32
+MAX_COUNT = int(np.iinfo(np.int32).max)
+
 
 class EdgeListError(ValueError):
     """Raised for unreadable, malformed, or empty edge-list inputs."""
@@ -46,9 +49,10 @@ class SignedGraph:
 
     Edge i joins ``edge_u[i] < edge_v[i]`` with sign ``edge_sign[i]``, in
     the order the edges were given. Node a's neighbors, in ascending id,
-    are ``indices[indptr[a]:indptr[a + 1]]`` and their edge signs the same
-    slice of ``signs``; every edge appears once from each end. All arrays
-    are read-only.
+    are ``indices[indptr[a]:indptr[a + 1]]``, and the same slice of
+    ``signs`` and of ``slot_edge`` (int32) holds their edge signs and edge
+    ids; every edge appears once from each end. All arrays are
+    read-only.
     """
 
     node_count: int
@@ -58,6 +62,7 @@ class SignedGraph:
     indptr: np.ndarray
     indices: np.ndarray
     signs: np.ndarray
+    slot_edge: np.ndarray
 
     @classmethod
     def from_edges(
@@ -66,15 +71,18 @@ class SignedGraph:
         """Build from (u, v, sign) triples: an iterable of tuples whose sign
         is a Sign or +1/-1, or an (E, 3) integer array of the same rows.
 
-        Raises ValueError naming the first edge that lies outside the node
-        range, is a self-loop, has a sign other than +1/-1, or repeats an
-        unordered pair.
+        Raises ValueError for a node count outside [0, ``MAX_COUNT``], for
+        more than ``MAX_COUNT`` edges, and naming the first edge that lies
+        outside the node range, is a self-loop, has a sign other than
+        +1/-1, or repeats an unordered pair.
         """
-        if node_count < 0:
-            raise ValueError("node_count must be non-negative")
+        if not 0 <= node_count <= MAX_COUNT:
+            raise ValueError(f"node_count {node_count} outside [0,{MAX_COUNT}]")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         u, v, sign = np.asarray(edges, dtype=np.int64).reshape(-1, 3).T
+        if len(u) > MAX_COUNT:
+            raise ValueError(f"{len(u)} edges exceed the limit of {MAX_COUNT}")
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         outside = (lo < 0) | (hi >= node_count)
         loop = u == v
@@ -104,6 +112,8 @@ class SignedGraph:
             "indptr": indptr,
             "indices": dst[by_node],
             "signs": np.concatenate([sign, sign])[by_node].astype(np.int8),
+            # entries k and E + k of (src, dst) are both edge k
+            "slot_edge": (by_node % len(u)).astype(np.int32),
         }
         for a in arrays.values():
             a.flags.writeable = False
@@ -226,8 +236,9 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
     Duplicate unordered pairs are resolved by sign majority; exact ties are
     dropped. Self-loops are dropped. Raises EdgeListError on unreadable
     files, malformed lines, non-UTF-8 bytes or non-finite values (with the
-    line number), an empty ``delimiter``, a non-finite
-    ``rating_threshold``, or when no node survives.
+    line number), a ``#%nodes`` count above ``MAX_COUNT``, an empty
+    ``delimiter``, a non-finite ``rating_threshold``, or when no node
+    survives.
     """
     path = Path(spec.path)
     if spec.delimiter == "":
@@ -248,8 +259,11 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
                     declared_nodes = int(line.split()[1])
                 except (IndexError, ValueError):
                     declared_nodes = -1  # fails below, as a negative count
-                if declared_nodes < 0:
-                    raise EdgeListError(f"{path}:{lineno}: bad node-count directive")
+                if not 0 <= declared_nodes <= MAX_COUNT:
+                    raise EdgeListError(
+                        f"{path}:{lineno}: bad node-count directive, expected "
+                        f"0 to {MAX_COUNT} nodes"
+                    )
                 # identity pre-registration keeps ids stable on reload
                 for i in range(declared_nodes):
                     remap.setdefault(i, len(remap))

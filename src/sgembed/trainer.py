@@ -258,12 +258,18 @@ def train(
         g_norms: list[float] = []
         n_true = n_fake = n_true_pos = 0
         try:
+            # θ_j is frozen through the D passes: one dot per graph edge
+            # serves every table they build
+            edge_dots = np.einsum(
+                "ij,ij->i", theta_j.values[g.edge_u], theta_j.values[g.edge_v]
+            )
             for center in passes(cfg.d_epochs):
                 true_batch = discriminator.sample_true_batch(
                     g, center, cfg.samples_per_center, stream
                 )
                 fakes = generator.generate_fakes(
-                    theta_j, tree_for(center), cfg.samples_per_center, stream
+                    theta_j, tree_for(center), cfg.samples_per_center, stream,
+                    edge_dots,
                 )
                 n_true += len(true_batch)
                 n_fake += len(fakes)

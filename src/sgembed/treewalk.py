@@ -37,11 +37,14 @@ class BfsTree:
     is the i-th covered node in discovery order (``order[0]`` is the root)
     and ``parent_pos[i]`` the position of its parent (-1 at the root).
     Positions level_ptr[l]:level_ptr[l + 1] hold the nodes at depth l, for
-    l = 0 .. depth. Tree edge e joins position e + 1 to its parent.
+    l = 0 .. depth. Tree edge e joins position e + 1 to its parent, along
+    graph edge ``edge[e]``. ``order``, ``parent_pos`` and ``edge`` are
+    int32.
     """
 
     order: np.ndarray
     parent_pos: np.ndarray
+    edge: np.ndarray
     level_ptr: np.ndarray
 
     @property
@@ -86,28 +89,31 @@ def build_bfs_tree(
     unset = np.iinfo(np.int64).max
     first_at = np.full(g.node_count, unset)
     first_at[root] = 0
-    frontier = np.array([root], dtype=np.int64)
+    frontier = np.array([root])
     levels, parents, base = [frontier], [np.array([-1])], 0
+    edges = [np.empty(0, np.int32)]  # the root has no tree edge
     while len(frontier) and (max_depth is None or len(levels) <= max_depth):
         start = g.indptr[frontier]
         sizes = g.indptr[frontier + 1] - start
+        ends = np.cumsum(sizes)
         # slot k of node i's neighbor list sits at start[i] + k
-        offsets = np.repeat(start - np.cumsum(sizes) + sizes, sizes)
-        found = g.indices[np.arange(sizes.sum()) + offsets]
-        # the BFS position of the frontier node that found each neighbor
-        by = np.repeat(np.arange(base, base + len(frontier)), sizes)
-        new = first_at[found] == unset
-        found, by = found[new], by[new]
-        position = np.arange(len(found))
-        np.minimum.at(first_at, found, position)
-        first = np.flatnonzero(first_at[found] == position)
+        slots = np.arange(ends[-1]) + np.repeat(start - ends + sizes, sizes)
+        found = g.indices[slots]
+        new = np.flatnonzero(first_at[found] == unset)
+        position = np.arange(len(new))
+        np.minimum.at(first_at, found[new], position)
+        # the level list's entries that first found a node
+        first = new[first_at[found[new]] == position]
+        # the BFS position of the frontier node that owns each of them
+        parents.append(base + np.searchsorted(ends, first, side="right"))
         base += len(frontier)
         frontier = found[first]
         levels.append(frontier)
-        parents.append(by[first])
+        edges.append(g.slot_edge[slots[first]])
     return BfsTree(
-        order=np.concatenate(levels),
-        parent_pos=np.concatenate(parents),
+        order=np.concatenate(levels, dtype=np.int32),
+        parent_pos=np.concatenate(parents, dtype=np.int32),
+        edge=np.concatenate(edges),
         # the last level is empty unless max_depth stopped the search
         level_ptr=np.cumsum([0, *(len(x) for x in levels if len(x))]),
     )
@@ -131,14 +137,23 @@ class RelevanceTable:
     cum_neg: np.ndarray
 
 
-def relevance_table(emb, tree: BfsTree) -> RelevanceTable:
-    """Build and propagate the full relevance table for one tree."""
-    values, c = emb.values, tree.covered_count
-    dots = np.einsum(
-        "ij,ij->i",
-        values[tree.order[tree.parent_pos[1:]]],
-        values[tree.order[1:]],
-    )
+def relevance_table(
+    emb, tree: BfsTree, edge_dots: np.ndarray | None = None
+) -> RelevanceTable:
+    """Build and propagate the full relevance table for one tree.
+
+    The tree's dot products come from the 2·T gathered rows of ``emb``,
+    or, when ``edge_dots`` holds ``emb``'s dot across every graph edge in
+    edge order, from T entries of it looked up by ``tree.edge``.
+    """
+    c = tree.covered_count
+    # take gathers faster than fancy indexing, above all through int32 ids
+    if edge_dots is None:
+        rows = emb.values.take(tree.order, axis=0)
+        parents = rows.take(tree.parent_pos[1:], axis=0)
+        dots = np.einsum("ij,ij->i", parents, rows[1:])
+    else:
+        dots = edge_dots.take(tree.edge)
     src, _ = tree.directed_edges()
     dots = np.concatenate([dots, dots])  # per directed edge
     # per-node shift keeps exp arguments <= 0 even for |dot| > 700
@@ -161,8 +176,10 @@ def propagate(table: RelevanceTable, tree: BfsTree) -> RelevanceTable:
     table.cum_neg[0] = 0.0
     # the edge into position i is edge i - 1
     bounds = tree.level_ptr[1:].tolist()
+    # numpy's per-level gathers run about twice as fast on int64 indices
+    parent = tree.parent_pos.astype(np.int64)
     for lo, hi in zip(bounds, bounds[1:]):
-        p = tree.parent_pos[lo:hi]
+        p = parent[lo:hi]
         cp, cn = table.cum_pos[p], table.cum_neg[p]
         dp, dn = table.pos[lo - 1 : hi - 1], table.neg[lo - 1 : hi - 1]
         table.cum_pos[lo:hi] = cp * dp + cn * dn

@@ -25,6 +25,7 @@ from sgembed.evalkit import (
     logreg_predict_proba,
 )
 from sgembed.generator import DivergenceError, sigmoid, walk_logprob_gradient
+from sgembed.treewalk import relevance_table
 
 
 def flip(sign):
@@ -336,6 +337,21 @@ def unbalanced_triangles(g):
                     if sign[(a, b)] * sign[(a, c)] * sign[(b, c)] < 0:
                         count += 1
     return count
+
+
+def gathered_relevance_table(emb, tree, edge_dots=None):
+    """``relevance_table`` with the tree's dots taken over its 2·T rows of
+    ``emb``, gathered by fancy indexing, whether or not ``edge_dots`` is
+    given: how every table's dots were computed before D phases read one
+    dot per graph edge."""
+    values = emb.values
+    dots = np.zeros(tree.edge.max(initial=-1) + 1)
+    dots[tree.edge] = np.einsum(
+        "ij,ij->i",
+        values[tree.order[tree.parent_pos[1:]]],
+        values[tree.order[1:]],
+    )
+    return relevance_table(emb, tree, dots)
 
 
 # Dense updates: the full-table gradient steps the trainer took before its

@@ -125,6 +125,14 @@ class TestSignedGraph:
             with pytest.raises(ValueError):
                 a[0] = 0
 
+    def test_counts_above_int32_are_rejected(self):
+        with pytest.raises(ValueError, match="node_count 2147483648 outside"):
+            SignedGraph.from_edges(2**31, [])
+        # a zero-stride view: 2^31 rows without their memory
+        edges = np.broadcast_to(np.array([0, 1, 1]), (2**31, 3))
+        with pytest.raises(ValueError, match="2147483648 edges exceed"):
+            SignedGraph.from_edges(2, edges)
+
     def test_array_input_matches_tuple_input(self):
         triples = [(0, 3, Sign.POSITIVE), (2, 1, Sign.NEGATIVE), (1, 3, Sign.POSITIVE)]
         a = SignedGraph.from_edges(4, triples)
@@ -305,6 +313,15 @@ class TestLoadEdgeList:
         p.write_text(f"# comment\n#%nodes {count}\n0 1 1\n")
         with pytest.raises(
             EdgeListError, match=r"g\.edges:2: bad node-count directive"
+        ):
+            load_edge_list(EdgeListSpec(path=p))
+
+    def test_node_count_directive_above_int32_names_its_line(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text(f"# comment\n#%nodes {2**31}\n0 1 1\n")
+        with pytest.raises(
+            EdgeListError,
+            match=r"g\.edges:2: bad node-count directive, expected 0 to 2147483647",
         ):
             load_edge_list(EdgeListSpec(path=p))
 

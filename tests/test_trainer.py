@@ -393,8 +393,8 @@ class TestCheckpoint:
     def test_nan_step_probability_aborts(self, monkeypatch):
         from sgembed import generator
 
-        def poisoned_table(emb, tree):
-            table = relevance_table(emb, tree)
+        def poisoned_table(emb, tree, edge_dots=None):
+            table = relevance_table(emb, tree, edge_dots)
             table.pos[0] = np.nan
             return table
 
@@ -437,6 +437,14 @@ def dense_train(monkeypatch, g, cfg, **kwargs):
         return train(g, cfg, **kwargs)
 
 
+def gathered_train(monkeypatch, g, cfg, **kwargs):
+    """``train`` with every table's dots taken over gathered θ_j rows, as
+    before D phases read one dot per graph edge."""
+    with monkeypatch.context() as m:
+        m.setattr(generator, "relevance_table", oracles.gathered_relevance_table)
+        return train(g, cfg, **kwargs)
+
+
 def assert_same_run(a, b):
     """Same tables bit for bit and the same stats, timing aside. The mean
     gradient norms may differ in their last bits: a norm over a table's
@@ -455,6 +463,18 @@ def assert_same_run(a, b):
         assert x == y
 
 
+CRITERION_6 = TrainConfig(
+    embedding_dim=16,
+    learning_rate=0.3,
+    outer_epochs=10,
+    d_epochs=5,
+    g_epochs=5,
+    samples_per_center=10,
+    batch_size=32,
+    seed=5,
+)
+
+
 def bitcoin_like(n, seed):
     u, v, sign, _ = inputs.bitcoin_like_graph(n, seed)
     return SignedGraph.from_edges(n, np.stack([u, v, sign], axis=1))
@@ -465,17 +485,9 @@ class TestTouchedRowsStep:
 
     def test_criterion_6_config_matches_dense(self, monkeypatch):
         g = synth_balanced(2, 50, 0.3, 0.2, 0.05, seed=11)
-        cfg = TrainConfig(
-            embedding_dim=16,
-            learning_rate=0.3,
-            outer_epochs=10,
-            d_epochs=5,
-            g_epochs=5,
-            samples_per_center=10,
-            batch_size=32,
-            seed=5,
+        assert_same_run(
+            train(g, CRITERION_6), dense_train(monkeypatch, g, CRITERION_6)
         )
-        assert_same_run(train(g, cfg), dense_train(monkeypatch, g, cfg))
 
     def test_bitcoin_like_graph_matches_dense(self, monkeypatch):
         g = bitcoin_like(300, 2)
@@ -578,3 +590,33 @@ def test_failed_checkpoint_write_keeps_the_old_one(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert resume(path).epochs_done == SMALL.outer_epochs
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+class TestEdgeDotTables:
+    """D-phase tables from one θ_j dot per graph edge against tables from
+    the tree's gathered θ_j rows."""
+
+    def test_criterion_6_config_matches_gathered(self, monkeypatch):
+        g = synth_balanced(2, 50, 0.3, 0.2, 0.05, seed=11)
+        assert_same_run(
+            train(g, CRITERION_6), gathered_train(monkeypatch, g, CRITERION_6)
+        )
+
+    @pytest.mark.parametrize("max_depth", [None, 2])
+    def test_bitcoin_like_graph_matches_gathered(self, monkeypatch, max_depth):
+        g = bitcoin_like(300, 2)
+        cfg = TrainConfig(
+            outer_epochs=2, d_epochs=2, g_epochs=2, seed=4,
+            max_tree_depth=max_depth,
+        )
+        assert_same_run(train(g, cfg), gathered_train(monkeypatch, g, cfg))
+
+    def test_resumed_run_matches_gathered(self, monkeypatch, tmp_path):
+        g = random_connected_graph(30, 60, 4)
+        path = tmp_path / "a.ckpt"
+        train(g, SMALL, checkpoint_path=path)
+        longer = dataclasses.replace(SMALL, outer_epochs=4)
+        assert_same_run(
+            train(g, longer, resume_from=resume(path)),
+            gathered_train(monkeypatch, g, longer, resume_from=resume(path)),
+        )

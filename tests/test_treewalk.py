@@ -42,6 +42,13 @@ def path_graph(n):
     )
 
 
+def two_components():
+    """Two components, (0, 1, 2, 3) and (5, 6, 7), plus isolated 4 and 8."""
+    return SignedGraph.from_edges(
+        9, [(0, 1, P), (1, 2, N), (0, 3, P), (5, 6, N), (6, 7, P)]
+    )
+
+
 def embedding_from(rows):
     return EmbeddingMatrix(values=np.asarray(rows, dtype=float))
 
@@ -171,24 +178,45 @@ class TestBfsTree:
 
     def test_arrays_are_covered_sized(self):
         # two components plus isolated nodes: order and parent_pos hold one
-        # entry per covered node whatever the graph's size, and level_ptr
-        # one offset per level plus the end
-        g = SignedGraph.from_edges(
-            9, [(0, 1, P), (1, 2, N), (0, 3, P), (5, 6, N), (6, 7, P)]
-        )
+        # entry per covered node whatever the graph's size, edge one per
+        # tree edge, and level_ptr one offset per level plus the end
+        g = two_components()
         for root, max_depth in itertools.product(range(9), [None, 0, 1, 2]):
             tree = build_bfs_tree(g, root, max_depth)
             arrays = {
                 k for k, a in vars(tree).items() if isinstance(a, np.ndarray)
             }
-            assert arrays == {"order", "parent_pos", "level_ptr"}
+            assert arrays == {"order", "parent_pos", "edge", "level_ptr"}
             assert len(tree.order) == tree.covered_count
             assert len(tree.parent_pos) == tree.covered_count
+            assert len(tree.edge) == tree.covered_count - 1
             _, level, _ = queue_bfs(g, root, max_depth)
             assert tree.depth == max(level)
             assert len(tree.level_ptr) == tree.depth + 2
             assert tree.level_ptr[-1] == tree.covered_count
             assert np.diff(tree.level_ptr).min() > 0
+
+    @pytest.mark.parametrize(
+        "g", [two_components(), random_connected_graph(40, 80, 7)]
+    )
+    def test_edge_ids_join_parent_and_child(self, g):
+        # each CSR slot names the edge between its row node and its neighbor
+        row = np.repeat(np.arange(g.node_count), np.diff(g.indptr))
+        lo, hi = np.minimum(row, g.indices), np.maximum(row, g.indices)
+        assert np.array_equal(g.edge_u[g.slot_edge], lo)
+        assert np.array_equal(g.edge_v[g.slot_edge], hi)
+        with pytest.raises(ValueError):
+            g.slot_edge[0] = 0
+        for root, max_depth in itertools.product(
+            range(g.node_count), [None, 0, 1, 2]
+        ):
+            tree = build_bfs_tree(g, root, max_depth)
+            for a in (tree.order, tree.parent_pos, tree.edge):
+                assert a.dtype == np.int32
+            parent, child = tree.order[tree.parent_pos[1:]], tree.order[1:]
+            lo, hi = np.minimum(parent, child), np.maximum(parent, child)
+            assert np.array_equal(g.edge_u[tree.edge], lo)
+            assert np.array_equal(g.edge_v[tree.edge], hi)
 
 
 class TestRelevance:
