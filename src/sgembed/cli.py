@@ -48,15 +48,25 @@ def _meta(config: dict, inputs: dict[str, str]) -> dict:
     }
 
 
-def _load_graph(args, path=None) -> tuple[SignedGraph, sgraph.LoadReport, str]:
+def _load_graph(
+    args, path=None, both_signs=False
+) -> tuple[SignedGraph, sgraph.LoadReport, str]:
     """Load ``path`` (default ``--graph``) under the --delimiter and
     --threshold flags; returns the graph, its load report and the file's
-    checksum."""
+    checksum. With ``both_signs``, a graph that lacks a sign is an error
+    naming --graph (and --threshold when set): evaluation needs both."""
     path = path or args.graph
     spec = EdgeListSpec(
         path=path, delimiter=args.delimiter, rating_threshold=args.threshold
     )
     graph, report = sgraph.load_edge_list(spec)
+    if both_signs and not (report.positive_edges and report.negative_edges):
+        under = "" if args.threshold is None else f" under --threshold {args.threshold}"
+        raise ValueError(
+            f"--graph {path} has {report.positive_edges} positive and "
+            f"{report.negative_edges} negative edges{under}; evaluation "
+            "needs both signs"
+        )
     return graph, report, _file_checksum(path)
 
 
@@ -120,7 +130,7 @@ def _eval_setup(args):
     """What predict and sweep share: the graph and its checksum, the
     evaluation keyword arguments, and the effective config's shared
     keys."""
-    g, _, checksum = _load_graph(args)
+    g, _, checksum = _load_graph(args, both_signs=True)
     cfg = _train_config(args)
     kwargs = {
         "k_folds": args.folds,
@@ -186,7 +196,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    g, _, checksum = _load_graph(args)
+    g, _, checksum = _load_graph(args, both_signs=True)
     emb = EmbeddingMatrix.load(args.emb)
     config = {"fraction": args.fraction, "seed": args.seed}
     audit = evalkit.balance_audit(
@@ -327,12 +337,15 @@ def _tolerance(text: str) -> float:
 
 
 def _floats(text: str) -> list[float]:
-    """An argparse type for comma-separated floats, empty items skipped;
-    argparse names the flag in its error."""
+    """An argparse type for one or more comma-separated floats, empty items
+    skipped; argparse names the flag in its error."""
     try:
-        return [float(x) for x in text.split(",") if x]
+        values = [float(x) for x in text.split(",") if x]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"no number in {text!r}")
+    return values
 
 
 def _add_graph_args(p: argparse.ArgumentParser, required: bool = True) -> None:

@@ -462,7 +462,8 @@ def balance_audit(
         raise ValueError("sample_fraction selects zero edges")
     if k > len(pos):
         raise ValueError(
-            f"cannot sample {k} positive edges; only {len(pos)} exist"
+            f"sample_fraction {sample_fraction} selects {k} edges of each "
+            f"sign, but only {len(pos)} positive edges exist"
         )
     rng = np.random.default_rng(seed)
     neg_pick = rng.choice(len(neg), size=k, replace=False)

@@ -174,30 +174,16 @@ class LoadReport:
     """Cleaning counters from one edge-list ingestion."""
 
     path: str
-    lines_parsed: int = 0
-    nodes: int = 0
-    edges_kept: int = 0
-    positive_edges: int = 0
-    negative_edges: int = 0
-    self_loops_dropped: int = 0
-    duplicate_lines: int = 0
-    conflicting_pairs: int = 0
-    tie_dropped_pairs: int = 0
-    zero_sign_dropped: int = 0
-
-    def log(self) -> None:
-        logger.info(
-            "loaded %s: nodes=%d edges=%d (+%d/-%d)",
-            self.path, self.nodes, self.edges_kept,
-            self.positive_edges, self.negative_edges,
-        )
-        logger.info(
-            "cleaning %s: self_loops=%d duplicate_lines=%d "
-            "conflicting_pairs=%d tie_dropped=%d zero_sign=%d",
-            self.path, self.self_loops_dropped, self.duplicate_lines,
-            self.conflicting_pairs, self.tie_dropped_pairs,
-            self.zero_sign_dropped,
-        )
+    lines_parsed: int
+    nodes: int
+    edges_kept: int
+    positive_edges: int
+    negative_edges: int
+    self_loops_dropped: int
+    duplicate_lines: int
+    conflicting_pairs: int
+    tie_dropped_pairs: int
+    zero_sign_dropped: int
 
 
 def text_lines(path: str | Path, error=ValueError, keep: str | None = None):
@@ -232,13 +218,16 @@ def text_lines(path: str | Path, error=ValueError, keep: str | None = None):
 def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
     """Read a signed edge list, returning the cleaned graph and its report.
 
-    Node ids are remapped to dense integers in first-appearance order.
-    Duplicate unordered pairs are resolved by sign majority; exact ties are
-    dropped. Self-loops are dropped. Raises EdgeListError on unreadable
-    files, malformed lines, non-UTF-8 bytes or non-finite values (with the
-    line number), a ``#%nodes`` count above ``MAX_COUNT``, an empty
-    ``delimiter``, a non-finite ``rating_threshold``, or when no node
-    survives.
+    Without a ``#%nodes N`` directive, node ids of any size are remapped
+    to dense integers in first-appearance order (u before v on each
+    line). With one, wherever it sits, ids keep their values and must lie
+    in [0, N). Self-loops are dropped, and so are zero values when there
+    is no ``rating_threshold``. Repeated unordered pairs resolve by sign
+    majority, exact ties dropped; kept pairs come in first-appearance
+    order. Raises EdgeListError naming the ``path:line`` of a malformed
+    line, a non-UTF-8 byte, a non-finite value, a bad or second directive,
+    or an id outside [0, N); and for an unreadable file, an empty
+    ``delimiter``, a non-finite ``rating_threshold``, or no node at all.
     """
     path = Path(spec.path)
     if spec.delimiter == "":
@@ -246,27 +235,27 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
     threshold = spec.rating_threshold
     if threshold is not None and not math.isfinite(threshold):
         raise EdgeListError(f"rating threshold {threshold} is not finite")
-    remap: dict[int, int] = {}
-    # unordered pair -> [positive occurrences, negative occurrences]
-    counts: dict[tuple[int, int], list[int]] = {}
-    report = LoadReport(path=str(path))
-    declared_nodes: int | None = None
+    ids: list[int] = []  # u, v of each edge line
+    values: list[float] = []
+    linenos: list[int] = []
+    declared: int | None = None
     lines = text_lines(path, EdgeListError, keep=_NODE_COUNT_DIRECTIVE)
     try:
         for lineno, line in lines:
             if line[0] == "#":  # a directive: text_lines drops other comments
+                if declared is not None:
+                    raise EdgeListError(
+                        f"{path}:{lineno}: second node-count directive"
+                    )
                 try:
-                    declared_nodes = int(line.split()[1])
+                    declared = int(line.split()[1])
                 except (IndexError, ValueError):
-                    declared_nodes = -1  # fails below, as a negative count
-                if not 0 <= declared_nodes <= MAX_COUNT:
+                    declared = -1  # fails below, as a negative count
+                if not 0 <= declared <= MAX_COUNT:
                     raise EdgeListError(
                         f"{path}:{lineno}: bad node-count directive, expected "
                         f"0 to {MAX_COUNT} nodes"
                     )
-                # identity pre-registration keeps ids stable on reload
-                for i in range(declared_nodes):
-                    remap.setdefault(i, len(remap))
                 continue
             parts = line.split(spec.delimiter)
             if len(parts) < 3:
@@ -274,7 +263,7 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
                     f"{path}:{lineno}: expected 3 columns, got {len(parts)}"
                 )
             try:
-                u_raw, v_raw, value = int(parts[0]), int(parts[1]), float(parts[2])
+                u, v, value = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
                 raise EdgeListError(
                     f"{path}:{lineno}: cannot parse (int, int, number) "
@@ -284,49 +273,57 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[SignedGraph, LoadReport]:
                 raise EdgeListError(
                     f"{path}:{lineno}: non-finite value {parts[2]!r}"
                 )
-            report.lines_parsed += 1
-            u = remap.setdefault(u_raw, len(remap))
-            v = remap.setdefault(v_raw, len(remap))
-            if u == v:
-                report.self_loops_dropped += 1
-                continue
-            if threshold is not None:
-                positive = value >= threshold
-            elif value == 0:
-                report.zero_sign_dropped += 1
-                continue
-            else:
-                positive = value > 0
-            pair = (u, v) if u < v else (v, u)
-            report.duplicate_lines += pair in counts
-            counts.setdefault(pair, [0, 0])[0 if positive else 1] += 1
+            ids += (u, v)
+            values.append(value)
+            linenos.append(lineno)
     except OSError as exc:
         raise EdgeListError(f"cannot read {path}: {exc}") from exc
 
-    node_count = len(remap)
-    if declared_nodes is not None:
-        if declared_nodes < node_count:
-            raise EdgeListError(
-                f"{path}: directive declares {declared_nodes} nodes but "
-                f"{node_count} ids appear"
-            )
-        node_count = declared_nodes
+    if declared is None:
+        remap: dict[int, int] = {}
+        ids = [remap.setdefault(i, len(remap)) for i in ids]
+        node_count = len(remap)
+    else:
+        for k, i in enumerate(ids):
+            if not 0 <= i < declared:
+                raise EdgeListError(
+                    f"{path}:{linenos[k // 2]}: node id {i} outside "
+                    f"[0,{declared}) declared by {_NODE_COUNT_DIRECTIVE}"
+                )
+        node_count = declared
     if node_count == 0:
         raise EdgeListError(f"{path}: empty graph after cleaning")
 
-    pairs = np.array(list(counts), dtype=np.int64).reshape(-1, 2)
-    n_pos, n_neg = np.array(list(counts.values()), dtype=np.int64).reshape(-1, 2).T
-    report.conflicting_pairs = int(np.count_nonzero((n_pos > 0) & (n_neg > 0)))
-    report.tie_dropped_pairs = int(np.count_nonzero(n_pos == n_neg))
-    keep = n_pos != n_neg
-    graph = SignedGraph.from_edges(
-        node_count, np.column_stack([pairs[keep], np.sign(n_pos - n_neg)[keep]])
+    u, v = np.array(ids, dtype=np.int64).reshape(-1, 2).T
+    value = np.array(values)
+    loop = u == v
+    zero = ~loop & (value == 0) & (threshold is None)
+    keep = ~(loop | zero)
+    # kept values are non-zero when there is no threshold
+    vote = np.where(value >= (threshold or 0.0), 1, -1)[keep]
+    lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
+    _, first, pair, count = np.unique(
+        lo * node_count + hi, return_index=True, return_inverse=True,
+        return_counts=True,
     )
-    report.nodes = graph.node_count
-    report.edges_kept = graph.edge_count
-    report.positive_edges = graph.positive_edge_count
-    report.negative_edges = graph.negative_edge_count
-    report.log()
+    net = np.bincount(pair, vote, len(first)).astype(np.int64)
+    # one row per pair, in first-appearance order
+    rows = np.column_stack([lo[first], hi[first], np.sign(net)])[np.argsort(first)]
+    graph = SignedGraph.from_edges(node_count, rows[rows[:, 2] != 0])
+    report = LoadReport(
+        path=str(path),
+        lines_parsed=len(values),
+        nodes=node_count,
+        edges_kept=graph.edge_count,
+        positive_edges=graph.positive_edge_count,
+        negative_edges=graph.negative_edge_count,
+        self_loops_dropped=int(np.count_nonzero(loop)),
+        duplicate_lines=len(lo) - len(first),
+        conflicting_pairs=int(np.count_nonzero(np.abs(net) < count)),
+        tie_dropped_pairs=int(np.count_nonzero(net == 0)),
+        zero_sign_dropped=int(np.count_nonzero(zero)),
+    )
+    logger.info("loaded %s", report)
     return graph, report
 
 

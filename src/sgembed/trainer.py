@@ -182,8 +182,6 @@ def _seeded_state(g: SignedGraph, cfg: TrainConfig | None, fingerprint: str):
     from ``cfg.seed``."""
     if cfg is None:
         raise ValueError("cfg is required when not resuming")
-    if g.node_count == 0:
-        raise ValueError("graph is empty")
     *table_ss, stream_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     tables = [init_embeddings(g.node_count, cfg.embedding_dim, s) for s in table_ss]
     rng_state = np.random.default_rng(stream_ss).bit_generator.state
@@ -204,8 +202,14 @@ def train(
     supplied config may then differ only in ``outer_epochs``. When
     ``checkpoint_path`` is set the final state is written there, as is the
     last good state if an update diverges (before TrainingDiverged is
-    re-raised).
+    re-raised). Raises ValueError, before any work, for a graph without
+    edges and for a resume whose ``outer_epochs`` is below the epochs the
+    state has done.
     """
+    if g.edge_count == 0:
+        raise ValueError(
+            f"graph has no edges: none of its {g.node_count} nodes is a center"
+        )
     fingerprint = g.fingerprint()
     state = resume_from or _seeded_state(g, cfg, fingerprint)
     if state.graph_fingerprint != fingerprint:
@@ -217,6 +221,11 @@ def train(
         cfg = state.config
     elif replace(cfg, outer_epochs=0) != replace(state.config, outer_epochs=0):
         raise ValueError("resume config may differ only in outer_epochs")
+    if cfg.outer_epochs < state.epochs_done:
+        raise ValueError(
+            f"outer_epochs {cfg.outer_epochs} is below the {state.epochs_done} "
+            "epochs the checkpoint has done"
+        )
     theta_j = state.theta_j.copy()
     theta_d = state.theta_d.copy()
     stream = np.random.default_rng()
@@ -305,10 +314,10 @@ def train(
         epochs.append(
             EpochStats(
                 epoch=epoch,
-                d_loss=float(np.mean(d_losses)) if d_losses else 0.0,
-                g_reward=float(np.mean(g_rewards)) if g_rewards else 0.0,
-                d_grad_norm=float(np.mean(d_norms)) if d_norms else 0.0,
-                g_grad_norm=float(np.mean(g_norms)) if g_norms else 0.0,
+                d_loss=float(np.mean(d_losses)),
+                g_reward=float(np.mean(g_rewards)),
+                d_grad_norm=float(np.mean(d_norms)),
+                g_grad_norm=float(np.mean(g_norms)),
                 wall_time=time.perf_counter() - t0,
                 true_samples=n_true,
                 fake_samples=n_fake,

@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-from sgembed import Sign, WalkBatch
+from sgembed import LoadReport, Sign, SignedGraph, WalkBatch
 from sgembed.evalkit import (
     MAX_ITERATIONS,
     RIDGE,
@@ -25,6 +25,7 @@ from sgembed.evalkit import (
     logreg_predict_proba,
 )
 from sgembed.generator import DivergenceError, sigmoid, walk_logprob_gradient
+from sgembed.sgraph import text_lines
 from sgembed.treewalk import relevance_table
 
 
@@ -56,6 +57,47 @@ def config_to_file(cfg, path):
     with open(path, "wt", encoding="utf-8") as fh:
         for f in dataclasses.fields(cfg):
             fh.write(f"{f.name}={text(getattr(cfg, f.name))}\n")
+
+
+def dict_load_edge_list(spec):
+    """``load_edge_list`` for a well-formed file without a ``#%nodes``
+    directive, one line at a time: ids remapped in first-appearance order
+    through a dict, and a dict of per-pair sign counts."""
+    remap: dict[int, int] = {}
+    # unordered pair -> [positive occurrences, negative occurrences]
+    counts: dict[tuple[int, int], list[int]] = {}
+    report = LoadReport(str(spec.path), *[0] * 10)
+    for _, line in text_lines(spec.path):
+        parts = line.split(spec.delimiter)
+        report.lines_parsed += 1
+        u = remap.setdefault(int(parts[0]), len(remap))
+        v = remap.setdefault(int(parts[1]), len(remap))
+        value = float(parts[2])
+        if u == v:
+            report.self_loops_dropped += 1
+            continue
+        if spec.rating_threshold is not None:
+            positive = value >= spec.rating_threshold
+        elif value == 0:
+            report.zero_sign_dropped += 1
+            continue
+        else:
+            positive = value > 0
+        pair = (u, v) if u < v else (v, u)
+        report.duplicate_lines += pair in counts
+        counts.setdefault(pair, [0, 0])[0 if positive else 1] += 1
+    edges = []
+    for pair, (n_pos, n_neg) in counts.items():
+        report.conflicting_pairs += n_pos > 0 and n_neg > 0
+        report.tie_dropped_pairs += n_pos == n_neg
+        if n_pos != n_neg:
+            edges.append((*pair, 1 if n_pos > n_neg else -1))
+    graph = SignedGraph.from_edges(len(remap), edges)
+    report.nodes = graph.node_count
+    report.edges_kept = graph.edge_count
+    report.positive_edges = graph.positive_edge_count
+    report.negative_edges = graph.negative_edge_count
+    return graph, report
 
 
 def queue_bfs(g, root, max_depth=None):

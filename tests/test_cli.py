@@ -348,6 +348,44 @@ def test_bad_fractions_item_names_the_flag(tmp_path, graph_file, capsys):
     assert "argument --fractions: could not convert string to float: 'x'" in err
 
 
+def test_empty_fractions_list_names_the_flag(tmp_path, graph_file, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "sweep", "--graph", str(graph_file), "--fractions", ",",
+            "--output-dir", str(out),
+        ])
+    assert exc.value.code == 2
+    assert "argument --fractions: no number in ','" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_edgeless_graph(tmp_path, caplog):
+    graph = tmp_path / "edgeless.edges"
+    assert main([
+        "synth", "--size", "3", "--p-intra", "0", "--p-inter", "0",
+        "--output", str(graph),
+    ]) == 0
+    out = tmp_path / "out"
+    rc = main(["train", "--graph", str(graph), "--output-dir", str(out)])
+    assert rc == 1
+    assert "graph has no edges: none of its 6 nodes is a center" in caplog.text
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("threshold", ["-1", "2"])
+def test_evaluation_rejects_a_graph_of_one_sign(
+    tmp_path, graph_file, caplog, threshold
+):
+    rc = main([
+        "predict", "--graph", str(graph_file), "--threshold", threshold,
+        "--output-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert f"--graph {graph_file} has " in caplog.text
+    assert f"under --threshold {float(threshold)}" in caplog.text
+
+
 def test_audit_rejects_fraction_outside_unit_interval(
     tmp_path, graph_file, caplog
 ):

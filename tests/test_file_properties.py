@@ -4,6 +4,7 @@ Each example writes its file into a fresh ``tempfile`` directory, since
 ``@given`` tests cannot take pytest's function-scoped ``tmp_path``.
 """
 
+import dataclasses
 import functools
 import tempfile
 from pathlib import Path
@@ -26,6 +27,8 @@ from sgembed import (
     save_edge_list,
     train,
 )
+
+from oracles import dict_load_edge_list
 
 # ±0, the extreme normal and subnormal magnitudes, and whatever else
 # hypothesis draws
@@ -58,8 +61,13 @@ def graphs(draw, min_edges=0):
     )
 
 
-def csr(g):
-    return g.indptr.tolist(), g.indices.tolist(), g.signs.tolist()
+def graph_bytes(g):
+    """The node count and each array's dtype and bytes."""
+    return g.node_count, [
+        (a.dtype, a.tobytes())
+        for a in (g.edge_u, g.edge_v, g.edge_sign, g.indptr, g.indices,
+                  g.signs, g.slot_edge)
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -93,9 +101,29 @@ def test_edge_list_round_trips_to_the_same_graph(g):
         path = Path(d) / "g.edges"
         save_edge_list(g, path, comments=["round trip"])
         back, _ = load_edge_list(EdgeListSpec(path=path))
-    assert back.node_count == g.node_count
-    assert back.edges == g.edges
-    assert csr(back) == csr(g)
+    assert graph_bytes(back) == graph_bytes(g)
+
+
+# small ids that collide often, negative ones, and one beyond 64 bits
+IDS = st.integers(-2, 5) | st.just(2**70)
+# signs, zeros and ratings on both sides of the thresholds below
+VALUES = st.sampled_from(["1", "-1", "0", "2.5", "-0.5", "1.0"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.tuples(IDS, IDS, VALUES), min_size=1, max_size=12),
+    threshold=st.sampled_from([None, 0.0, 1.0]),
+)
+def test_messy_edge_list_loads_as_the_dict_oracle_does(lines, threshold):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "g.edges"
+        path.write_text("".join(f"{u} {v} {x}\n" for u, v, x in lines))
+        spec = EdgeListSpec(path=path, rating_threshold=threshold)
+        g, report = load_edge_list(spec)
+        want_g, want_report = dict_load_edge_list(spec)
+    assert graph_bytes(g) == graph_bytes(want_g)
+    assert dataclasses.asdict(report) == dataclasses.asdict(want_report)
 
 
 def corrupt(line: bytes, kind: str, data) -> bytes:

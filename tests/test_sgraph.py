@@ -326,6 +326,32 @@ class TestLoadEdgeList:
             load_edge_list(EdgeListSpec(path=p))
 
 
+    def test_directive_after_edge_lines_keeps_every_id(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("5 7 1\n#%nodes 10\n0 1 -1\n")
+        g, report = load_edge_list(EdgeListSpec(path=p))
+        assert g.node_count == report.nodes == 10
+        assert g.edges == ((5, 7, Sign.POSITIVE), (0, 1, Sign.NEGATIVE))
+
+    def test_second_directive_names_its_line(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("#%nodes 4\n0 1 1\n#%nodes 4\n")
+        with pytest.raises(
+            EdgeListError, match=r"g\.edges:3: second node-count directive"
+        ):
+            load_edge_list(EdgeListSpec(path=p))
+
+    @pytest.mark.parametrize("node", [3, -1, 2**70])
+    def test_id_outside_declared_range_names_its_line(self, tmp_path, node):
+        p = tmp_path / "g.edges"
+        p.write_text(f"#%nodes 3\n0 1 1\n1 {node} -1\n")
+        with pytest.raises(
+            EdgeListError,
+            match=rf"g\.edges:3: node id {node} outside \[0,3\) declared by",
+        ):
+            load_edge_list(EdgeListSpec(path=p))
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(4))
     def test_save_load_identity(self, tmp_path, seed):

@@ -287,6 +287,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(SignedGraph.from_edges(0, []), SMALL)
 
+    def test_edgeless_graph_rejected(self):
+        with pytest.raises(ValueError, match="graph has no edges"):
+            train(SignedGraph.from_edges(3, []), SMALL)
+
 
 class TestCheckpoint:
     def test_save_load_save_is_byte_identical(self, tmp_path):
@@ -379,6 +383,27 @@ class TestCheckpoint:
         bad = dataclasses.replace(SMALL, learning_rate=0.9, outer_epochs=5)
         with pytest.raises(ValueError, match="outer_epochs"):
             train(g, bad, resume_from=state)
+
+    def test_resume_below_epochs_done_rejected(self, tmp_path):
+        g = random_connected_graph(6, 8, 0)
+        done = dataclasses.replace(SMALL, outer_epochs=3)
+        path = tmp_path / "a.ckpt"
+        train(g, done, checkpoint_path=path)
+        state = resume(path)
+        out = tmp_path / "b.ckpt"
+        fewer = dataclasses.replace(SMALL, outer_epochs=1)
+        with pytest.raises(
+            ValueError, match="outer_epochs 1 is below the 3 epochs"
+        ):
+            train(g, fewer, resume_from=state, checkpoint_path=out)
+        assert not out.exists()
+        # equal counts stay a no-op
+        theta_j, _, report = train(
+            g, done, resume_from=state, checkpoint_path=out
+        )
+        assert report.epochs == []
+        assert theta_j.values.tobytes() == state.theta_j.values.tobytes()
+        assert out.read_bytes() == path.read_bytes()
 
     def test_poisoned_generator_table_aborts(self, tmp_path):
         g = random_connected_graph(6, 8, 1)
