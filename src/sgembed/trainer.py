@@ -47,10 +47,13 @@ class CheckpointError(RuntimeError):
 
 class TrainingDiverged(RuntimeError):
     """Raised when an update produced non-finite values; carries the last
-    good state in ``state``."""
+    good state in ``state``, whose epoch and learning rate it names."""
 
-    def __init__(self, message: str, state: "TrainState"):
-        super().__init__(message)
+    def __init__(self, cause: str, state: "TrainState"):
+        super().__init__(
+            f"epoch {state.epochs_done}: {cause} "
+            f"(learning_rate {state.config.learning_rate!r})"
+        )
         self.state = state
 
 
@@ -188,6 +191,7 @@ def _seeded_state(g: SignedGraph, cfg: TrainConfig | None, fingerprint: str):
     return TrainState(cfg, 0, *tables, rng_state, fingerprint)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     g: SignedGraph,
     cfg: TrainConfig | None = None,
@@ -200,11 +204,12 @@ def train(
     With ``resume_from`` the run continues from the saved state, which
     must have been trained on this graph (same fingerprint); the
     supplied config may then differ only in ``outer_epochs``. When
-    ``checkpoint_path`` is set the final state is written there, as is the
-    last good state if an update diverges (before TrainingDiverged is
-    re-raised). Raises ValueError, before any work, for a graph without
-    edges and for a resume whose ``outer_epochs`` is below the epochs the
-    state has done.
+    ``checkpoint_path`` is set the state is written there after the
+    checks and after each epoch, so however the run ends it holds the last
+    completed epoch, the state TrainingDiverged carries. Numpy does not
+    warn of overflow: updates test their own rows for non-finite values.
+    Raises ValueError, before any work, for a graph without edges and for
+    a resume whose ``outer_epochs`` is below the epochs the state has done.
     """
     if g.edge_count == 0:
         raise ValueError(
@@ -248,16 +253,13 @@ def train(
     epochs: list[EpochStats] = []
     last_good = replace(state, config=cfg)
 
-    def diverged(exc: Exception) -> TrainingDiverged:
-        if checkpoint_path is not None:
-            checkpoint(last_good, checkpoint_path)
-        return TrainingDiverged(str(exc), state=last_good)
-
     # updates check only the rows they write; a resumed table may hold NaN
     for name, table in (("theta_j", theta_j), ("theta_d", theta_d)):
         bad = np.flatnonzero(~np.isfinite(table.values).all(axis=1))
         if len(bad):
-            raise diverged(DivergenceError(f"{name} row {bad[0]} is not finite"))
+            raise TrainingDiverged(f"{name} row {bad[0]} is not finite", last_good)
+    if checkpoint_path is not None:
+        checkpoint(last_good, checkpoint_path)
 
     for epoch in range(state.epochs_done, cfg.outer_epochs):
         t0 = time.perf_counter()
@@ -309,7 +311,7 @@ def train(
                 g_rewards.append(float(rewards.mean()))
                 g_norms.append(norm)
         except (DivergenceError, FloatingPointError) as exc:
-            raise diverged(exc) from exc
+            raise TrainingDiverged(str(exc), last_good) from exc
 
         epochs.append(
             EpochStats(
@@ -334,16 +336,12 @@ def train(
             cfg, epoch + 1, theta_j.copy(), theta_d.copy(),
             copy.deepcopy(stream.bit_generator.state), fingerprint,
         )
+        if checkpoint_path is not None:
+            checkpoint(last_good, checkpoint_path)
 
-    report = TrainReport(
-        config=cfg,
-        epochs=epochs,
-        theta_j_checksum=theta_j.checksum(),
-        theta_d_checksum=theta_d.checksum(),
+    return theta_j, theta_d, TrainReport(
+        cfg, epochs, theta_j.checksum(), theta_d.checksum()
     )
-    if checkpoint_path is not None:
-        checkpoint(last_good, checkpoint_path)
-    return theta_j, theta_d, report
 
 
 def checkpoint(state: TrainState, path: str | Path) -> None:

@@ -1,11 +1,18 @@
 """End-to-end tests of the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgembed import EdgeListSpec, load_edge_list, save_edge_list, synth_balanced
+import sgembed
+from sgembed import (
+    EdgeListSpec, load_edge_list, resume, save_edge_list, synth_balanced
+)
 from sgembed.cli import main
 from sgembed.generator import EmbeddingMatrix
 
@@ -397,6 +404,29 @@ def test_audit_rejects_fraction_outside_unit_interval(
     ])
     assert rc == 1
     assert "sample_fraction -0.5 must be in (0, 1]" in caplog.text
+
+
+def test_diverging_train_names_its_cause_without_numpy_warnings(
+    tmp_path, graph_file
+):
+    # a process of its own, so stderr is what a user sees: the suite's
+    # filter would turn the first numpy warning into the error instead
+    out = tmp_path / "out"
+    src = Path(sgembed.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "sgembed.cli", "train",
+            "--graph", str(graph_file), *FAST_SETS,
+            "--set", "learning_rate=1e300", "--output-dir", str(out),
+        ],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr
+    assert "train (TrainingDiverged): epoch 0: " in proc.stderr
+    assert "(learning_rate 1e+300)" in proc.stderr
+    assert resume(out / "checkpoint.bin").epochs_done == 0
 
 
 def test_unknown_flag_exits_nonzero(graph_file):

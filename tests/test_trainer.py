@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -27,9 +28,8 @@ from sgembed import (
     synth_balanced,
     train,
 )
-from sgembed import discriminator, generator
+from sgembed import discriminator, generator, trainer
 from sgembed.generator import init_embeddings
-from sgembed.trainer import TrainState
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import inputs  # noqa: E402
@@ -71,6 +71,16 @@ class TestTrainConfig:
         path = tmp_path / "train.cfg"
         oracles.config_to_file(cfg, path)
         assert TrainConfig.from_file(path) == cfg
+
+    def test_readme_sample_config_is_the_defaults_with_seed_7(self, tmp_path):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text().split("\n## Command line\n")[1]
+        section = section.split("\n## ")[0]
+        blocks = re.findall(r"^```(\w*)\n(.*?)^```", section, re.M | re.S)
+        [sample] = [body for lang, body in blocks if not lang]
+        path = tmp_path / "sample.cfg"
+        path.write_text(sample)
+        assert TrainConfig.from_file(path) == TrainConfig(seed=7)
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(seed=9, reward_clamp=(-5.0, 0.0))
@@ -430,25 +440,83 @@ class TestCheckpoint:
         assert isinstance(exc.value.__cause__, FloatingPointError)
         assert exc.value.state.epochs_done == 0
 
-    def test_divergence_aborts_with_last_good_checkpoint(self, tmp_path):
+    def test_divergence_leaves_the_last_completed_epoch(
+        self, tmp_path, monkeypatch
+    ):
+        g = random_connected_graph(6, 8, 1)
+        path = tmp_path / "run.ckpt"
+        written = []
+        update = discriminator.update
+
+        def counted(state, to):
+            checkpoint(state, to)
+            written.append(state.epochs_done)
+
+        def poisoned(emb, batch, learning_rate):
+            if written[-1] == 2:  # epoch 2 is running
+                emb.values[batch["u"][0]] = np.inf
+            return update(emb, batch, learning_rate)
+
+        monkeypatch.setattr(trainer, "checkpoint", counted)
+        monkeypatch.setattr(discriminator, "update", poisoned)
+        longer = dataclasses.replace(SMALL, outer_epochs=4)
+        with pytest.raises(
+            TrainingDiverged, match="^epoch 2: discriminator update"
+        ) as exc:
+            train(g, longer, checkpoint_path=path)
+        assert written == [0, 1, 2]
+        assert resume(path).epochs_done == exc.value.state.epochs_done == 2
+        checkpoint(exc.value.state, tmp_path / "state.ckpt")
+        assert path.read_bytes() == (tmp_path / "state.ckpt").read_bytes()
+
+    def test_non_finite_resumed_state_writes_no_checkpoint(self, tmp_path):
         g = random_connected_graph(6, 8, 1)
         path = tmp_path / "good.ckpt"
         train(g, SMALL, checkpoint_path=path)
         state = resume(path)
-        poisoned = TrainState(
-            config=dataclasses.replace(state.config, outer_epochs=4),
-            epochs_done=state.epochs_done,
-            theta_j=state.theta_j,
-            theta_d=state.theta_d,
-            rng_state=state.rng_state,
-            graph_fingerprint=state.graph_fingerprint,
-        )
-        poisoned.theta_d.values[0, 0] = np.nan
+        state.theta_d.values[0, 0] = np.nan
         out = tmp_path / "abort.ckpt"
-        with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged) as exc:
-            train(g, resume_from=poisoned, checkpoint_path=out)
-        assert out.exists()
-        assert exc.value.state.epochs_done == state.epochs_done
+        longer = dataclasses.replace(SMALL, outer_epochs=4)
+        with pytest.raises(TrainingDiverged, match="theta_d row 0") as exc:
+            train(g, longer, resume_from=state, checkpoint_path=out)
+        assert not out.exists()
+        assert exc.value.state.epochs_done == SMALL.outer_epochs
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_diverges_naming_epoch_and_learning_rate(self, tmp_path):
+        # numpy's overflow warnings must not escape in place of the
+        # TrainingDiverged that the updates' own checks raise
+        g = synth_balanced(2, 6, 0.9, 0.8, 0.05, seed=4)
+        cfg = TrainConfig(
+            embedding_dim=4, learning_rate=1e300,
+            outer_epochs=1, d_epochs=1, g_epochs=1,
+        )
+        path = tmp_path / "run.ckpt"
+        with pytest.raises(
+            TrainingDiverged,
+            match=r"^epoch 0: discriminator update left non-finite "
+            r"embeddings \(learning_rate 1e\+300\)$",
+        ):
+            train(g, cfg, checkpoint_path=path)
+        assert resume(path).epochs_done == 0
+
+    def test_unwritable_checkpoint_path_fails_before_any_update(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        update = discriminator.update
+
+        def counted(*args):
+            calls.append(1)
+            return update(*args)
+
+        monkeypatch.setattr(discriminator, "update", counted)
+        with pytest.raises(OSError):
+            train(
+                random_connected_graph(6, 8, 0), SMALL,
+                checkpoint_path=tmp_path / "missing" / "run.ckpt",
+            )
+        assert calls == []
 
 
 def dense_train(monkeypatch, g, cfg, **kwargs):
@@ -615,6 +683,41 @@ def test_failed_checkpoint_write_keeps_the_old_one(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert resume(path).epochs_done == SMALL.outer_epochs
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("writes", [1, 4])
+def test_interrupted_run_resumes_to_the_same_bytes(
+    tmp_path, monkeypatch, writes
+):
+    # a KeyboardInterrupt after the start write (1) or after epoch 2's
+    # write (4); the file then holds the last completed epoch
+    g = synth_balanced(2, 50, 0.3, 0.2, 0.05, seed=11)
+    cfg = dataclasses.replace(
+        CRITERION_6, outer_epochs=6, d_epochs=2, g_epochs=2
+    )
+    full_path, cut_path = tmp_path / "full.ckpt", tmp_path / "cut.ckpt"
+    full = train(g, cfg, checkpoint_path=full_path)
+    done = []
+
+    def interrupting(state, path):
+        checkpoint(state, path)
+        done.append(state.epochs_done)
+        if len(done) == writes:
+            raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(trainer, "checkpoint", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            train(g, cfg, checkpoint_path=cut_path)
+    state = resume(cut_path)
+    assert state.epochs_done == writes - 1
+    resumed = train(g, cfg, resume_from=state, checkpoint_path=cut_path)
+    assert resumed[0].values.tobytes() == full[0].values.tobytes()
+    assert resumed[1].values.tobytes() == full[1].values.tobytes()
+    assert resumed[2].theta_j_checksum == full[2].theta_j_checksum
+    assert resumed[2].theta_d_checksum == full[2].theta_d_checksum
+    assert len(resumed[2].epochs) == cfg.outer_epochs - state.epochs_done
+    assert cut_path.read_bytes() == full_path.read_bytes()
 
 
 class TestEdgeDotTables:
