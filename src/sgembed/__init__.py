@@ -28,7 +28,6 @@ from .treewalk import (
     tree_distribution,
 )
 from .generator import (
-    DivergenceError,
     EmbeddingMatrix,
     generate_fakes,
     init_embeddings,

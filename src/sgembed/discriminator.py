@@ -19,6 +19,8 @@ EDGE_DTYPE = np.dtype(
     [("u", np.int64), ("v", np.int64), ("sign", np.int8), ("true", np.bool_)]
 )
 
+REWARD_CLAMP = (-20.0, 0.0)
+
 
 def edge_batch(u, v, sign, true) -> np.ndarray:
     """``EDGE_DTYPE`` batch from per-field arrays, scalars broadcast; raises
@@ -71,12 +73,12 @@ def batch_gradient(emb: EmbeddingMatrix, batch: np.ndarray) -> tuple:
     return rows, pair_gradient(values, iu, iv, coef), float(terms.mean())
 
 
-def rewards(emb: EmbeddingMatrix, fakes, clamp) -> np.ndarray:
+def rewards(emb: EmbeddingMatrix, fakes) -> np.ndarray:
     """log(1 - D) of each fake edge (root, target, sign) of the WalkBatch
-    ``fakes``, clamped to the ``clamp`` interval: the generator's reward."""
+    ``fakes``, clamped to ``REWARD_CLAMP``: the generator's reward."""
     center = emb.values[fakes.tree.root]
     z = fakes.signs * (emb.values[fakes.targets] @ center)
-    return np.clip(-np.logaddexp(0.0, z), clamp[0], clamp[1])
+    return np.clip(-np.logaddexp(0.0, z), *REWARD_CLAMP)
 
 
 def update(

@@ -26,10 +26,6 @@ from .treewalk import (
 )
 
 
-class DivergenceError(RuntimeError):
-    """Raised when an update would leave non-finite embeddings."""
-
-
 @dataclass
 class EmbeddingMatrix:
     """Dense |V| x k real embedding table; row i embeds node i."""
@@ -161,10 +157,10 @@ def pair_gradient(values: np.ndarray, a, b, coef) -> np.ndarray:
 
 def step_rows(emb: EmbeddingMatrix, rows, step: np.ndarray, who: str) -> None:
     """Add ``step`` to the distinct ``rows`` of ``emb``; raises
-    DivergenceError if any of those rows is then not finite."""
+    FloatingPointError if any of those rows is then not finite."""
     emb.values[rows] += step
     if not np.isfinite(emb.values[rows]).all():
-        raise DivergenceError(f"{who} update left non-finite embeddings")
+        raise FloatingPointError(f"{who} update left non-finite embeddings")
 
 
 def walk_logprob_gradient(

@@ -31,14 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from . import discriminator, generator
-from .generator import DivergenceError, EmbeddingMatrix, init_embeddings
+from .generator import EmbeddingMatrix, init_embeddings
 from .sgraph import SignedGraph, text_lines
 from .treewalk import BfsTree, build_bfs_tree
 
 logger = logging.getLogger(__name__)
 
 _CKPT_MAGIC = b"SGEMBCKP"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -67,8 +67,6 @@ class TrainConfig:
     samples_per_center: int = 20
     batch_size: int = 32
     seed: int = 0
-    max_tree_depth: int | None = None
-    reward_clamp: tuple[float, float] = (-20.0, 0.0)
 
     def __post_init__(self) -> None:
         if self.embedding_dim <= 0:
@@ -85,25 +83,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.max_tree_depth is not None and self.max_tree_depth <= 0:
-            raise ValueError("max_tree_depth must be positive when set")
-        lo, hi = self.reward_clamp
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("reward_clamp bounds must not be NaN")
-        if lo > hi:
-            raise ValueError("reward_clamp low bound exceeds high bound")
-        if lo == math.inf or hi == -math.inf:
-            raise ValueError("reward_clamp admits no finite reward")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "reward_clamp" in d:
-            d["reward_clamp"] = tuple(d["reward_clamp"])
-        return cls(**d)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
@@ -119,28 +101,18 @@ class TrainConfig:
         return cfg
 
     def merged(self, overrides: dict[str, str]) -> "TrainConfig":
-        """Apply textual key=value overrides (CLI flags beat file values)."""
-        known = {f.name: f for f in dataclasses.fields(self)}
+        """Apply textual key=value overrides (CLI flags beat file values):
+        ``learning_rate`` parses as a float, every other key as an int."""
+        known = {f.name for f in dataclasses.fields(self)}
         parsed = {}
-        for key, value in overrides.items():
+        for key, text in overrides.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            parsed[key] = _parse_value(key, value)
+            try:
+                parsed[key] = (float if key == "learning_rate" else int)(text)
+            except ValueError:
+                raise ValueError(f"config key {key}: bad value {text!r}") from None
         return replace(self, **parsed)
-
-
-def _parse_value(key: str, text: str):
-    try:
-        if key == "max_tree_depth":
-            return None if text.lower() in ("", "none") else int(text)
-        if key == "reward_clamp":
-            lo, hi = (float(x) for x in text.split(","))
-            return (lo, hi)
-        if key in ("learning_rate",):
-            return float(text)
-        return int(text)
-    except ValueError:
-        raise ValueError(f"config key {key}: bad value {text!r}") from None
 
 
 @dataclass
@@ -238,7 +210,7 @@ def train(
 
     @functools.cache
     def tree_for(center: int) -> BfsTree:
-        return build_bfs_tree(g, center, cfg.max_tree_depth)
+        return build_bfs_tree(g, center)
 
     active = np.diff(g.indptr) > 0
 
@@ -304,13 +276,13 @@ def train(
                 fakes = generator.generate_fakes(
                     theta_j, tree_for(center), cfg.samples_per_center, stream
                 )
-                rewards = discriminator.rewards(theta_d, fakes, cfg.reward_clamp)
+                rewards = discriminator.rewards(theta_d, fakes)
                 norm = generator.policy_gradient_update(
                     theta_j, fakes, rewards, cfg.learning_rate
                 )
                 g_rewards.append(float(rewards.mean()))
                 g_norms.append(norm)
-        except (DivergenceError, FloatingPointError) as exc:
+        except FloatingPointError as exc:
             raise TrainingDiverged(str(exc), last_good) from exc
 
         epochs.append(
@@ -399,7 +371,7 @@ def resume(path: str | Path) -> TrainState:
         payload, count=2 * rows * dim, offset=off + header_len
     ).reshape(2, rows, dim).copy()
     return TrainState(
-        config=TrainConfig.from_dict(header["config"]),
+        config=TrainConfig(**header["config"]),
         epochs_done=header["epochs_done"],
         theta_j=EmbeddingMatrix(values=theta_j),
         theta_d=EmbeddingMatrix(values=theta_d),

@@ -31,7 +31,7 @@ from .sgraph import SignedGraph
 
 @dataclass
 class BfsTree:
-    """Shortest-path tree of the root's (possibly depth-capped) component.
+    """Shortest-path tree of the root's connected component.
 
     ``order`` and ``parent_pos`` are indexed by BFS position: ``order[i]``
     is the i-th covered node in discovery order (``order[0]`` is the root)
@@ -70,16 +70,14 @@ class BfsTree:
         return np.concatenate([parent, child]), np.concatenate([child, parent])
 
 
-def build_bfs_tree(
-    g: SignedGraph, root: int, max_depth: int | None = None
-) -> BfsTree:
+def build_bfs_tree(g: SignedGraph, root: int) -> BfsTree:
     """BFS tree with deterministic ascending-id neighbor exploration.
 
-    Covers the root's connected component, or its truncation when
-    ``max_depth`` is given. Expands one level at a time over the CSR: the
-    next level is the unvisited nodes of the level's concatenated neighbor
-    lists, each at its first occurrence and with the node that found it as
-    parent, which is the tree a FIFO queue would build.
+    Covers the root's connected component. Expands one level at a time
+    over the CSR: the next level is the unvisited nodes of the level's
+    concatenated neighbor lists, each at its first occurrence and with the
+    node that found it as parent, which is the tree a FIFO queue would
+    build.
     """
     if not 0 <= root < g.node_count:
         raise ValueError(f"root {root} outside [0,{g.node_count})")
@@ -92,7 +90,7 @@ def build_bfs_tree(
     frontier = np.array([root])
     levels, parents, base = [frontier], [np.array([-1])], 0
     edges = [np.empty(0, np.int32)]  # the root has no tree edge
-    while len(frontier) and (max_depth is None or len(levels) <= max_depth):
+    while len(frontier):
         start = g.indptr[frontier]
         sizes = g.indptr[frontier + 1] - start
         ends = np.cumsum(sizes)
@@ -114,8 +112,8 @@ def build_bfs_tree(
         order=np.concatenate(levels, dtype=np.int32),
         parent_pos=np.concatenate(parents, dtype=np.int32),
         edge=np.concatenate(edges),
-        # the last level is empty unless max_depth stopped the search
-        level_ptr=np.cumsum([0, *(len(x) for x in levels if len(x))]),
+        # the search stops at the first empty level
+        level_ptr=np.cumsum([0, *(len(x) for x in levels[:-1])]),
     )
 
 

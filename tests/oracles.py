@@ -24,7 +24,7 @@ from sgembed.evalkit import (
     fold_metrics,
     logreg_predict_proba,
 )
-from sgembed.generator import DivergenceError, sigmoid, walk_logprob_gradient
+from sgembed.generator import sigmoid, walk_logprob_gradient
 from sgembed.sgraph import text_lines
 from sgembed.treewalk import relevance_table
 
@@ -45,18 +45,10 @@ def sign_from_number(x):
 
 def config_to_file(cfg, path):
     """Write ``cfg`` as the key=value lines ``TrainConfig.from_file``
-    reads: none for None, comma-separated floats for a tuple."""
-
-    def text(value):
-        if value is None:
-            return "none"
-        if isinstance(value, tuple):
-            return ",".join(repr(float(x)) for x in value)
-        return str(value)
-
+    reads."""
     with open(path, "wt", encoding="utf-8") as fh:
         for f in dataclasses.fields(cfg):
-            fh.write(f"{f.name}={text(getattr(cfg, f.name))}\n")
+            fh.write(f"{f.name}={getattr(cfg, f.name)}\n")
 
 
 def dict_load_edge_list(spec):
@@ -100,7 +92,7 @@ def dict_load_edge_list(spec):
     return graph, report
 
 
-def queue_bfs(g, root, max_depth=None):
+def queue_bfs(g, root):
     """(parent, level, order) of a FIFO-queue BFS that scans each node's
     neighbors in ascending id, one Python step per node."""
     adjacency = [[] for _ in range(g.node_count)]
@@ -114,8 +106,6 @@ def queue_bfs(g, root, max_depth=None):
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        if max_depth is not None and level[u] >= max_depth:
-            continue
         for w in sorted(adjacency[u]):
             if level[w] < 0:
                 level[w] = level[u] + 1
@@ -477,10 +467,10 @@ def dense_update(emb, batch, learning_rate):
     value = objective(emb, batch)
     grad = dense_batch_gradient(emb, batch)
     if not np.isfinite(grad).all():
-        raise DivergenceError("non-finite discriminator gradient")
+        raise FloatingPointError("non-finite discriminator gradient")
     emb.values += learning_rate * grad
     if not np.isfinite(emb.values).all():
-        raise DivergenceError("discriminator update left non-finite embeddings")
+        raise FloatingPointError("discriminator update left non-finite embeddings")
     return value, float(np.linalg.norm(grad))
 
 
@@ -496,7 +486,7 @@ def dense_policy_gradient_update(emb, batch, rewards, learning_rate):
     grad /= len(batch)
     emb.values -= learning_rate * grad
     if not np.isfinite(emb.values).all():
-        raise DivergenceError("generator update left non-finite embeddings")
+        raise FloatingPointError("generator update left non-finite embeddings")
     return float(np.linalg.norm(grad))
 
 

@@ -469,3 +469,25 @@ def test_set_without_equals_names_the_flag(tmp_path, graph_file, caplog):
     ])
     assert rc == 1
     assert "--set 'embedding_dim': expected KEY=VALUE" in caplog.text
+
+
+def test_removed_tree_depth_key_is_unknown(tmp_path, graph_file, caplog):
+    rc = main([
+        "train", "--graph", str(graph_file), "--set", "max_tree_depth=3",
+        "--output-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "unknown config key 'max_tree_depth'" in caplog.text
+
+
+def test_removed_reward_clamp_key_in_a_config_file_names_its_line(
+    tmp_path, graph_file, caplog
+):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("seed=1\nreward_clamp=-20,0\n")
+    rc = main([
+        "train", "--graph", str(graph_file), "--config", str(cfg),
+        "--output-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert f"{cfg}:2: unknown config key 'reward_clamp'" in caplog.text

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sgembed import (
-    DivergenceError,
     EmbeddingMatrix,
     Sign,
     SignedGraph,
@@ -17,7 +16,7 @@ from sgembed import (
     random_connected_graph,
     sample_true_batch,
 )
-from sgembed.discriminator import batch_gradient, rewards, update
+from sgembed.discriminator import REWARD_CLAMP, batch_gradient, rewards, update
 from sgembed.generator import sigmoid
 
 from oracles import objective, scatter_rows
@@ -86,20 +85,34 @@ class TestScore:
 
 
 class TestRewards:
-    @pytest.mark.parametrize("clamp", [(-20.0, 0.0), (-0.7, -0.68)])
-    def test_clamped_log_one_minus_score(self, clamp):
-        # each walk's reward is log(1 - D) of its fake edge at the root
+    def fakes(self):
         g = random_connected_graph(12, 20, 3)
-        tree = build_bfs_tree(g, 2)
-        fakes = generate_fakes(
-            init_embeddings(12, 3, 0), tree, 30, np.random.default_rng(1)
+        return generate_fakes(
+            init_embeddings(12, 3, 0), build_bfs_tree(g, 2), 30,
+            np.random.default_rng(1),
         )
+
+    def test_log_one_minus_score(self):
+        # each walk's reward is log(1 - D) of its fake edge at the root
+        fakes = self.fakes()
         emb = init_embeddings(12, 3, 5)
         expected = [
-            min(max(math.log(1.0 - score(emb, 2, t, Sign(s))), clamp[0]), clamp[1])
+            math.log(1.0 - score(emb, 2, t, Sign(s)))
             for t, s in zip(fakes.targets.tolist(), fakes.signs.tolist())
         ]
-        assert rewards(emb, fakes, clamp) == pytest.approx(expected, abs=1e-12)
+        assert min(expected) > REWARD_CLAMP[0]
+        assert rewards(emb, fakes) == pytest.approx(expected, abs=1e-12)
+
+    def test_confident_fake_hits_the_floor(self):
+        # every dot is 25, so a positive fake has z = 25 > 20 and
+        # log(1 - D) = -log(1 + e^25) below the floor
+        fakes = self.fakes()
+        emb = embedding_from(np.tile([5.0, 0.0, 0.0], (12, 1)))
+        positive = fakes.signs > 0
+        assert positive.any() and not positive.all()
+        floor, below = REWARD_CLAMP[0], -math.log1p(math.exp(-25.0))
+        expected = np.where(positive, floor, below)
+        assert rewards(emb, fakes).tolist() == expected.tolist()
 
 
 class TestLabeledEdge:
@@ -245,5 +258,5 @@ class TestUpdate:
     def test_divergence_detected(self):
         emb = init_embeddings(3, 2, 0)
         emb.values[0, 0] = np.nan
-        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
             update(emb, labeled((0, 1, P, True)), 0.1)

@@ -1,6 +1,5 @@
 """Tests for BFS trees, relevance probabilities, and the tree softmax."""
 
-import itertools
 import math
 
 import networkx as nx
@@ -141,11 +140,6 @@ class TestBfsTree:
         tree = build_bfs_tree(g, 2)
         assert covered(tree) == {2, 3, 4}
 
-    def test_max_depth_truncates(self):
-        tree = build_bfs_tree(path_graph(6), 0, max_depth=2)
-        assert covered(tree) == {0, 1, 2}
-        assert tree.depth == 2
-
     def test_deterministic_ascending_exploration(self):
         g = SignedGraph.from_edges(4, [(0, 2, P), (0, 1, P), (1, 3, P), (2, 3, N)])
         tree = build_bfs_tree(g, 0)
@@ -153,8 +147,7 @@ class TestBfsTree:
         assert node_indexed(tree, 4)[0][3] == 1
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("max_depth", [None, 1, 2, 3])
-    def test_matches_queue_bfs_oracle(self, seed, max_depth):
+    def test_matches_queue_bfs_oracle(self, seed):
         # several components plus isolated nodes: 3 random graphs side by
         # side, then 4 nodes with no edges
         rng = np.random.default_rng(seed)
@@ -169,8 +162,8 @@ class TestBfsTree:
             n, [(int(perm[u]), int(perm[v]), s) for u, v, s in edges]
         )
         for root in range(n):
-            tree = build_bfs_tree(g, root, max_depth)
-            parent, level, order = queue_bfs(g, root, max_depth)
+            tree = build_bfs_tree(g, root)
+            parent, level, order = queue_bfs(g, root)
             tree_parent, tree_level, _ = node_indexed(tree, n)
             assert tree_parent.tolist() == parent
             assert tree_level.tolist() == level
@@ -181,8 +174,8 @@ class TestBfsTree:
         # entry per covered node whatever the graph's size, edge one per
         # tree edge, and level_ptr one offset per level plus the end
         g = two_components()
-        for root, max_depth in itertools.product(range(9), [None, 0, 1, 2]):
-            tree = build_bfs_tree(g, root, max_depth)
+        for root in range(9):
+            tree = build_bfs_tree(g, root)
             arrays = {
                 k for k, a in vars(tree).items() if isinstance(a, np.ndarray)
             }
@@ -190,7 +183,7 @@ class TestBfsTree:
             assert len(tree.order) == tree.covered_count
             assert len(tree.parent_pos) == tree.covered_count
             assert len(tree.edge) == tree.covered_count - 1
-            _, level, _ = queue_bfs(g, root, max_depth)
+            _, level, _ = queue_bfs(g, root)
             assert tree.depth == max(level)
             assert len(tree.level_ptr) == tree.depth + 2
             assert tree.level_ptr[-1] == tree.covered_count
@@ -207,10 +200,8 @@ class TestBfsTree:
         assert np.array_equal(g.edge_v[g.slot_edge], hi)
         with pytest.raises(ValueError):
             g.slot_edge[0] = 0
-        for root, max_depth in itertools.product(
-            range(g.node_count), [None, 0, 1, 2]
-        ):
-            tree = build_bfs_tree(g, root, max_depth)
+        for root in range(g.node_count):
+            tree = build_bfs_tree(g, root)
             for a in (tree.order, tree.parent_pos, tree.edge):
                 assert a.dtype == np.int32
             parent, child = tree.order[tree.parent_pos[1:]], tree.order[1:]
@@ -475,14 +466,6 @@ class TestModifiedSoftmax:
         emb = init_embeddings(7, 3, 2)
         tree = build_bfs_tree(g, 0)
         assert covered(tree) == {0, 1, 2, 3}
-        _, p_pos, p_neg = tree_distribution(relevance_table(emb, tree), tree)
-        assert p_pos.sum() + p_neg.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_normalization_on_depth_capped_tree(self):
-        g = random_connected_graph(25, 30, 6)
-        emb = init_embeddings(25, 4, 6)
-        tree = build_bfs_tree(g, 0, max_depth=2)
-        assert tree.depth <= 2
         _, p_pos, p_neg = tree_distribution(relevance_table(emb, tree), tree)
         assert p_pos.sum() + p_neg.sum() == pytest.approx(1.0, abs=1e-9)
 
